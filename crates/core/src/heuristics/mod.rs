@@ -42,6 +42,47 @@ pub const TIE_EPS: f64 = 1e-9;
 /// short runs; above it the batch path's pool fan-out starts to pay.
 const DIRECT_PREDICT_MAX: usize = 16;
 
+/// A load picture that brings each server's report up to date as it is
+/// read. The engine's lazy load reports implement it: a report instant
+/// skipped while nobody looked is replayed on the first read after it,
+/// so a decision pays only for the servers its heuristic actually asks
+/// about.
+pub trait LoadSource {
+    /// `server`'s corrected load estimate at the decision instant.
+    fn corrected_load(&self, server: ServerId) -> f64;
+}
+
+/// Where a decision reads the agent's load picture from.
+#[derive(Clone, Copy)]
+pub enum Loads<'a> {
+    /// Reports the caller keeps current, dense by server index.
+    Reports(&'a [LoadReport]),
+    /// A source that catches each report up on read.
+    Source(&'a dyn LoadSource),
+}
+
+impl Loads<'_> {
+    /// `server`'s corrected load estimate.
+    pub fn corrected_load(&self, server: ServerId) -> f64 {
+        match self {
+            Loads::Reports(reports) => reports[server.index()].corrected_load(),
+            Loads::Source(source) => source.corrected_load(server),
+        }
+    }
+}
+
+impl<'a> From<&'a [LoadReport]> for Loads<'a> {
+    fn from(reports: &'a [LoadReport]) -> Self {
+        Loads::Reports(reports)
+    }
+}
+
+impl<'a> From<&'a Vec<LoadReport>> for Loads<'a> {
+    fn from(reports: &'a Vec<LoadReport>) -> Self {
+        Loads::Reports(reports)
+    }
+}
+
 /// Reusable storage for one decision's memoised what-if answers.
 ///
 /// A [`SchedView`] lives for one scheduling decision, but a run makes one
@@ -177,7 +218,7 @@ pub struct SchedView<'a> {
     /// wrapper heuristics that narrow the list swap in an owned copy.
     pub candidates: Cow<'a, [ServerId]>,
     costs: &'a CostTable,
-    loads: &'a [LoadReport],
+    loads: Loads<'a>,
     /// The what-if backend: one HTM, or a shard federation routing each
     /// query to the owning shard — the heuristic cannot tell.
     htm: &'a mut dyn WhatIf,
@@ -206,7 +247,7 @@ impl<'a> SchedView<'a> {
         task: TaskInstance,
         candidates: impl Into<Cow<'a, [ServerId]>>,
         costs: &'a CostTable,
-        loads: &'a [LoadReport],
+        loads: impl Into<Loads<'a>>,
         htm: &'a mut dyn WhatIf,
         rng: &'a mut RngStream,
     ) -> Self {
@@ -215,7 +256,7 @@ impl<'a> SchedView<'a> {
             task,
             candidates: candidates.into(),
             costs,
-            loads,
+            loads: loads.into(),
             htm,
             rng,
             memo: MemoSlot::Owned(DecisionMemo::new()),
@@ -274,7 +315,7 @@ impl<'a> SchedView<'a> {
 
     /// The agent's current (corrected) load estimate for a server.
     pub fn load(&self, server: ServerId) -> f64 {
-        self.loads[server.index()].corrected_load()
+        self.loads.corrected_load(server)
     }
 
     /// The NetSolve completion estimate (§2.2): communication at face

@@ -81,8 +81,8 @@ pub mod whatif;
 
 pub use gantt::{Gantt, GanttRow, GanttSegment};
 pub use heuristics::{
-    DecisionMemo, Heuristic, HeuristicKind, Hmct, Mct, MinLoad, Mni, Mp, Msf, Olb, RandomChoice,
-    RoundRobin, SchedView,
+    DecisionMemo, Heuristic, HeuristicKind, Hmct, LoadSource, Loads, Mct, MinLoad, Mni, Mp, Msf,
+    Olb, RandomChoice, RoundRobin, SchedView,
 };
 pub use htm::{Htm, MemoStats, RepairPolicy, Stage2Mode, SyncPolicy};
 pub use prediction::Prediction;

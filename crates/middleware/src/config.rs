@@ -147,15 +147,14 @@ pub struct ExperimentConfig {
     /// single-agent path and by exhaustive selectors (which always take
     /// the full union).
     pub skyline: bool,
-    /// Collapse the periodic per-server load-report events into one
-    /// aggregated event per shard (default off): each firing refreshes
-    /// the whole shard block in a single kernel event, cutting report
-    /// queue pressure from O(n_servers) to O(n_shards) per period on
-    /// huge farms. Changes *when* reports refresh (a shard's servers
-    /// report together at the shard's phase instead of staggered
-    /// per-server), so it is a config knob rather than a sharding
-    /// side-effect — the S = 1 ≡ Single invariant is stated at equal
-    /// report modes.
+    /// Refresh load reports with one aggregated kernel event per shard
+    /// and period (default off) instead of the default lazy per-server
+    /// reports, which cost no kernel event at all (see
+    /// [`crate::housekeeping`]). Changes *when* reports refresh (a
+    /// shard's servers report together at the shard's phase instead of
+    /// staggered per-server), so it is a config knob rather than a
+    /// sharding side-effect — the S = 1 ≡ Single invariant is stated at
+    /// equal report modes.
     pub aggregated_reports: bool,
     /// HTM ↔ reality synchronisation policy.
     pub sync: SyncPolicy,

@@ -41,13 +41,14 @@
 
 use crate::config::{ExperimentConfig, FaultTolerance};
 use crate::event::GridEvent;
+use crate::housekeeping::{LoadBook, Moment, NoiseChain, Origin, ReportRead};
 use crate::shard::{AgentRouter, DecisionInputs};
 use cas_core::heuristics::Heuristic;
-use cas_core::Htm;
+use cas_core::{Htm, Loads};
 use cas_metrics::{DropReason, TaskOutcome, TaskRecord};
 use cas_platform::{
-    AdmitOutcome, Arena, ArenaKey, CostTable, LoadAverage, LoadReport, Phase, PhaseCosts, ServerId,
-    ServerRuntime, ServerSpec, TaskId, TaskInstance,
+    AdmitOutcome, Arena, ArenaKey, CostTable, Phase, PhaseCosts, ServerId, ServerRuntime,
+    ServerSpec, TaskId, TaskInstance,
 };
 use cas_sim::dist::{LogNormalNoise, Sample};
 use cas_sim::{prof, RngStream, Scheduler, SimTime, Simulation, StreamKind, World};
@@ -118,7 +119,7 @@ pub struct AdmissionStats {
 struct BufferedTask {
     idx: usize,
     attempt: u32,
-    excluded: Vec<ServerId>,
+    excluded: Box<[ServerId]>,
     enqueued: SimTime,
 }
 
@@ -261,8 +262,9 @@ pub struct GridWorld {
     costs: CostTable,
     tasks: Vec<TaskInstance>,
     servers: Vec<ServerRuntime>,
-    monitors: Vec<LoadAverage>,
-    reports: Vec<LoadReport>,
+    /// Per-server load monitors and the agent's reports of them, caught
+    /// up lazily when touched or read (see [`crate::housekeeping`]).
+    loads: LoadBook,
     /// The agent's entire decision stack: per-shard HTMs, static indices
     /// and stage-1 selectors behind the deterministic router (a single
     /// shard owning the whole farm by default — the paper's agent).
@@ -276,6 +278,16 @@ pub struct GridWorld {
     cpu_noise: Vec<RngStream>,
     net_noise: Vec<RngStream>,
     noise_dist: LogNormalNoise,
+    /// Per-server noise-redraw chains, armed only while the server is
+    /// busy (see [`crate::housekeeping`]).
+    noise: Vec<NoiseChain>,
+    /// Origin of the event being handled: the parent of every event its
+    /// handler pushes, and its side of any report-instant tie.
+    cur: Origin,
+    /// Fire every server's reports and redraws as kernel events — the
+    /// executable spec the lazy path is proven against.
+    #[cfg(test)]
+    eager_housekeeping: bool,
     /// In-flight per-task state, arena-backed: records live contiguously,
     /// slots recycle as tasks complete, and the per-event lookup is a
     /// dense-index read (`flight_keys[task]` → arena slot) instead of a
@@ -313,9 +325,9 @@ pub struct GridWorld {
     /// Live-count band `(lo, hi)` per shard: drifting outside it
     /// triggers an online re-partition (federated router only).
     band: (usize, usize),
-    /// Kernel events spent on load reports so far (per-server events in
-    /// the default mode, per-shard events in aggregated mode) — the
-    /// counter behind the O(n) → O(S) queue-pressure claim.
+    /// Kernel events spent on load reports so far: none in the default
+    /// mode (per-server reports are lazy), one per shard per period in
+    /// aggregated mode.
     report_events: u64,
     /// Per-task user classes, aligned with `tasks` (all-zero unless a
     /// trace workload attached real ones via
@@ -402,6 +414,16 @@ impl GridWorld {
                 .map(|i| RngStream::derive(cfg.seed, StreamKind::NetNoise(i)))
                 .collect(),
             noise_dist: LogNormalNoise::new(cfg.noise_sigma),
+            noise: (0..n)
+                .map(|i| NoiseChain {
+                    next: SimTime::from_secs(cfg.noise_redraw_period * (i + 1) as f64 / n as f64),
+                    pushed: Moment::init((tasks.len() + i) as u64),
+                    armed: false,
+                })
+                .collect(),
+            cur: Origin::default(),
+            #[cfg(test)]
+            eager_housekeeping: false,
             server_mem: server_specs
                 .iter()
                 .map(|spec| spec.total_mem_mb())
@@ -410,10 +432,13 @@ impl GridWorld {
                 .into_iter()
                 .map(|spec| ServerRuntime::new(spec, cfg.memory))
                 .collect(),
-            monitors: (0..n).map(|_| LoadAverage::new(cfg.load_tau)).collect(),
-            reports: (0..n as u32)
-                .map(|i| LoadReport::initial(ServerId(i)))
-                .collect(),
+            loads: LoadBook::new(
+                n,
+                cfg.load_report_period,
+                cfg.load_tau,
+                !cfg.aggregated_reports,
+                tasks.len() as u64,
+            ),
             flights: Arena::with_capacity(64),
             client_link: if cfg.shared_client_link {
                 Some(cas_platform::FairShareResource::new(1.0))
@@ -500,9 +525,10 @@ impl GridWorld {
         self.remaining
     }
 
-    /// Kernel events spent on periodic load reports so far: one per
-    /// server per period in the default mode, one per **shard** per
-    /// period with `ExperimentConfig::aggregated_reports` on.
+    /// Kernel events spent on periodic load reports so far: none in the
+    /// default mode, where per-server reports are lazy and cost no
+    /// kernel event (see [`crate::housekeeping`]), and one per **shard**
+    /// per period with `ExperimentConfig::aggregated_reports` on.
     pub fn report_events(&self) -> u64 {
         self.report_events
     }
@@ -536,6 +562,60 @@ impl GridWorld {
         self.admission.as_ref().map_or(&[], |a| a.waits.as_slice())
     }
 
+    /// Push order of provision `idx` within `init`: after every arrival
+    /// and after the first report and redraw of each initial server
+    /// (where the eager path pushed them).
+    fn provision_push(&self, idx: usize) -> u64 {
+        let initial_servers = self.servers.len() - self.churn_stats.provisions as usize;
+        (self.tasks.len() + initial_servers + idx) as u64
+    }
+
+    /// Switches the world to the eager housekeeping spec: every server
+    /// reports and redraws on its own kernel events for as long as any
+    /// task remains.
+    #[cfg(test)]
+    pub(crate) fn with_eager_housekeeping(mut self) -> Self {
+        let n = self.servers.len();
+        self.eager_housekeeping = true;
+        self.loads = LoadBook::new(
+            n,
+            self.cfg.load_report_period,
+            self.cfg.load_tau,
+            false,
+            self.tasks.len() as u64,
+        );
+        for chain in &mut self.noise {
+            chain.armed = self.cfg.noise_sigma > 0.0;
+        }
+        self
+    }
+
+    /// The eager spec's `init` pushes: one report (unless aggregated)
+    /// and one redraw per server, staggered across one period.
+    #[cfg(test)]
+    fn init_eager_housekeeping(&mut self, sched: &mut Scheduler<'_, GridEvent>) {
+        let n = self.servers.len().max(1);
+        for i in 0..self.servers.len() {
+            if !self.cfg.aggregated_reports {
+                let phase = self.cfg.load_report_period * (i + 1) as f64 / n as f64;
+                sched.at(
+                    SimTime::from_secs(phase),
+                    GridEvent::LoadReport {
+                        server: ServerId(i as u32),
+                    },
+                );
+            }
+            if self.cfg.noise_sigma > 0.0 {
+                sched.at(
+                    self.noise[i].next,
+                    GridEvent::NoiseRedraw {
+                        server: ServerId(i as u32),
+                    },
+                );
+            }
+        }
+    }
+
     fn resource(&self, server: ServerId, phase: Phase) -> &cas_platform::FairShareResource<TaskId> {
         let s = &self.servers[server.index()];
         match phase {
@@ -558,14 +638,29 @@ impl GridWorld {
         }
     }
 
+    /// The origin of an event due at `at` that the current handler
+    /// pushes at `now`.
+    fn origin(&self, now: SimTime, at: SimTime) -> Origin {
+        self.cur.child(now, at, self.loads.period())
+    }
+
     /// (Re)schedules the completion event for a server resource from its
     /// current state.
     fn resched(&mut self, server: ServerId, phase: Phase, sched: &mut Scheduler<'_, GridEvent>) {
         let now = sched.now();
         let res = self.resource(server, phase);
         if let Some((_, when)) = res.next_completion(now) {
-            let gen = res.generation();
-            sched.at(when.max(now), GridEvent::PhaseDone { server, phase, gen });
+            let (gen, at) = (res.generation(), when.max(now));
+            let from = self.origin(now, at);
+            sched.at(
+                at,
+                GridEvent::PhaseDone {
+                    server,
+                    phase,
+                    gen,
+                    from,
+                },
+            );
         }
     }
 
@@ -574,9 +669,67 @@ impl GridWorld {
         let now = sched.now();
         let link = self.client_link.as_ref().expect("shared link enabled");
         if let Some((_, when)) = link.next_completion(now) {
-            let gen = link.generation();
-            sched.at(when.max(now), GridEvent::ClientLinkDone { gen });
+            let (gen, at) = (link.generation(), when.max(now));
+            let from = self.origin(now, at);
+            sched.at(at, GridEvent::ClientLinkDone { gen, from });
         }
+    }
+
+    /// Whether any of server `i`'s resources has members — or, for
+    /// server 0 in shared-link mode, the client link its noise stream
+    /// drives.
+    fn busy(&self, i: usize) -> bool {
+        let s = &self.servers[i];
+        !(s.link_in.is_empty() && s.cpu.is_empty() && s.link_out.is_empty())
+            || (i == 0 && self.client_link.as_ref().is_some_and(|l| !l.is_empty()))
+    }
+
+    /// Draws server `i`'s next noise factors and applies them at `now`.
+    /// In shared-link mode, server 0's net stream doubles as the client
+    /// link's noise source (one extra draw per period).
+    fn redraw(&mut self, i: usize, now: SimTime) {
+        let cpu_factor = self.noise_dist.sample(&mut self.cpu_noise[i]);
+        let net_factor = self.noise_dist.sample(&mut self.net_noise[i]);
+        self.servers[i].set_noise(now, cpu_factor);
+        self.servers[i].link_in.set_capacity(now, net_factor);
+        self.servers[i].link_out.set_capacity(now, net_factor);
+        if i == 0 {
+            if let Some(link) = &mut self.client_link {
+                link.set_capacity(now, self.noise_dist.sample(&mut self.net_noise[0]));
+            }
+        }
+    }
+
+    /// Catches `server`'s noise up to `now` before it is touched, and
+    /// arms its redraw chain. A disarmed chain means the server has been
+    /// idle since its last redraw, so nothing observed the epochs in
+    /// between: their draws are skipped on the streams and only the
+    /// latest epoch at or before `now` is applied — at `now`, which is
+    /// the same thing on resources that are still empty. No-op while
+    /// armed: a server with work in flight keeps its chain armed, so
+    /// only a touch that may add work (reservation, release, a transfer
+    /// or computation starting) needs to call this.
+    fn wake(&mut self, server: ServerId, now: SimTime, sched: &mut Scheduler<'_, GridEvent>) {
+        let i = server.index();
+        if self.noise[i].armed || self.cfg.noise_sigma == 0.0 || self.remaining == 0 {
+            return;
+        }
+        let period = SimTime::from_secs(self.cfg.noise_redraw_period);
+        if self.noise[i].next <= now {
+            let shared = i == 0 && self.client_link.is_some();
+            while self.noise[i].next + period <= now {
+                self.noise_dist.skip(&mut self.cpu_noise[i]);
+                self.noise_dist.skip(&mut self.net_noise[i]);
+                if shared {
+                    self.noise_dist.skip(&mut self.net_noise[0]);
+                }
+                self.noise[i].advance(period);
+            }
+            self.redraw(i, now);
+            self.noise[i].advance(period);
+        }
+        self.noise[i].armed = true;
+        sched.at(self.noise[i].next, GridEvent::NoiseRedraw { server });
     }
 
     /// The in-flight record of `task` (task ids are dense, so this is an
@@ -597,6 +750,7 @@ impl GridWorld {
         debug_assert_eq!(flight.phase, Phase::Input);
         flight.phase = Phase::Compute;
         let (server, compute) = (flight.server, flight.costs.compute);
+        self.wake(server, now, sched);
         self.touch_monitor(server, now);
         self.servers[server.index()].begin_compute(now, task, compute);
         self.resched(server, Phase::Compute, sched);
@@ -641,8 +795,9 @@ impl GridWorld {
     /// that held since the last touch. Must be called *before* changing the
     /// CPU membership.
     fn touch_monitor(&mut self, server: ServerId, now: SimTime) {
-        let len = self.servers[server.index()].run_queue_len();
-        self.monitors[server.index()].observe(now, len);
+        let i = server.index();
+        let len = self.servers[i].run_queue_len();
+        self.loads.observe(i, now, &self.cur, len);
     }
 
     fn record_mut(&mut self, task: TaskId) -> &mut TaskRecord {
@@ -680,32 +835,24 @@ impl GridWorld {
     /// pipeline when the admission gate is off (bit-identical to the
     /// pre-backpressure build), through the bounded gate otherwise.
     fn handle_submit(&mut self, now: SimTime, idx: usize, sched: &mut Scheduler<'_, GridEvent>) {
+        let at = now + SimTime::from_secs(self.cfg.agent_latency);
+        let schedule = GridEvent::Schedule {
+            idx,
+            attempt: 1,
+            excluded: Box::default(),
+            from: self.origin(now, at),
+        };
         if self.admission.is_none() {
-            let delay = SimTime::from_secs(self.cfg.agent_latency);
-            sched.in_(
-                delay,
-                GridEvent::Schedule {
-                    idx,
-                    attempt: 1,
-                    excluded: Vec::new(),
-                },
-            );
+            sched.at(at, schedule);
             return;
         }
         let adm = self.admission.as_mut().expect("gate is on");
         if adm.in_admission < adm.capacity {
             adm.in_admission += 1;
             adm.stats.peak_admitted = adm.stats.peak_admitted.max(adm.in_admission);
-            sched.in_(
-                SimTime::from_secs(self.cfg.agent_latency),
-                GridEvent::Schedule {
-                    idx,
-                    attempt: 1,
-                    excluded: Vec::new(),
-                },
-            );
+            sched.at(at, schedule);
         } else {
-            self.buffer_or_shed(now, idx, 1, Vec::new(), sched);
+            self.buffer_or_shed(now, idx, 1, Box::default(), sched);
         }
     }
 
@@ -717,7 +864,7 @@ impl GridWorld {
         now: SimTime,
         idx: usize,
         attempt: u32,
-        excluded: Vec<ServerId>,
+        excluded: Box<[ServerId]>,
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
         let adm = self.admission.as_mut().expect("gate is on");
@@ -767,16 +914,19 @@ impl GridWorld {
         };
         debug_assert!(adm.in_admission > 0, "release without a held slot");
         adm.in_admission -= 1;
+        let at = now + SimTime::from_secs(self.cfg.agent_latency);
+        let from = self.cur.child(now, at, self.loads.period());
         while adm.in_admission < adm.capacity {
             let Some(entry) = adm.dequeue(now) else { break };
             adm.in_admission += 1;
             adm.stats.peak_admitted = adm.stats.peak_admitted.max(adm.in_admission);
-            sched.in_(
-                SimTime::from_secs(self.cfg.agent_latency),
+            sched.at(
+                at,
                 GridEvent::Schedule {
                     idx: entry.idx,
                     attempt: entry.attempt,
                     excluded: entry.excluded,
+                    from: from.clone(),
                 },
             );
         }
@@ -802,7 +952,7 @@ impl GridWorld {
         now: SimTime,
         idx: usize,
         attempt: u32,
-        excluded: Vec<ServerId>,
+        excluded: Box<[ServerId]>,
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
         let task = self.tasks[idx];
@@ -818,12 +968,18 @@ impl GridWorld {
             let excluded = &excluded;
             let admit =
                 move |s: ServerId| !excluded.contains(&s) && !dead[s.index()] && live[s.index()];
+            let reports = ReportRead {
+                book: &self.loads,
+                servers: &self.servers,
+                now,
+                cur: &self.cur,
+            };
             self.agent.decide(
                 DecisionInputs {
                     now,
                     task,
                     costs: &self.costs,
-                    reports: &self.reports,
+                    reports: Loads::Source(&reports),
                     server_mem: &self.server_mem,
                     admit: &admit,
                 },
@@ -841,12 +997,15 @@ impl GridWorld {
                 // code so the campaign accounting stays exact.
                 if attempt < self.cfg.redispatch_budget {
                     self.churn_stats.redispatches += 1;
-                    sched.in_(
-                        SimTime::from_secs(self.cfg.redispatch_backoff),
+                    let at = now + SimTime::from_secs(self.cfg.redispatch_backoff);
+                    let from = self.origin(now, at);
+                    sched.at(
+                        at,
                         GridEvent::Schedule {
                             idx,
                             attempt: attempt + 1,
-                            excluded: Vec::new(),
+                            excluded: Box::default(),
+                            from,
                         },
                     );
                 } else {
@@ -870,6 +1029,7 @@ impl GridWorld {
             .expect("heuristic picked a solver");
         let mem = self.costs.problem(task.problem).mem_mb;
 
+        self.wake(server, now, sched);
         match self.servers[server.index()].reserve(now, task.id, mem) {
             AdmitOutcome::Admitted => {
                 // Reservation can push the server into thrashing, which
@@ -877,7 +1037,9 @@ impl GridWorld {
                 self.resched(server, Phase::Compute, sched);
                 let commit_span = prof::span(prof::Phase::CommitHooks);
                 let predicted = self.agent.predict_completion(now, server, &task);
-                self.reports[server.index()].note_assignment();
+                let i = server.index();
+                let len = self.servers[i].run_queue_len();
+                self.loads.note_assignment(i, now, &self.cur, len);
                 // The index's remaining-work ledger grows by the task's
                 // *service demand* (unloaded total), not by its predicted
                 // residence time: `predicted − now` includes queueing
@@ -905,7 +1067,9 @@ impl GridWorld {
                 });
                 self.flight_keys[task.id.index()] = Some(key);
                 self.inflight[server.index()].push(task.id);
-                if let Some(link) = &mut self.client_link {
+                if self.client_link.is_some() {
+                    self.wake(ServerId(0), now, sched);
+                    let link = self.client_link.as_mut().expect("shared link enabled");
                     link.add(now, task.id, phase_costs.input);
                     self.resched_client_link(sched);
                 } else {
@@ -925,12 +1089,14 @@ impl GridWorld {
                     FaultTolerance::None => false,
                 };
                 if retry {
-                    let mut excluded = excluded;
+                    let mut excluded = excluded.into_vec();
                     excluded.push(server);
+                    let from = self.origin(now, now);
                     sched.immediately(GridEvent::Schedule {
                         idx,
                         attempt: attempt + 1,
-                        excluded,
+                        excluded: excluded.into_boxed_slice(),
+                        from,
                     });
                 } else {
                     self.fail_task(idx, attempt, Some(server), now, sched);
@@ -960,7 +1126,16 @@ impl GridWorld {
         if when.as_secs() > now.as_secs() + COMPLETION_EPS {
             // Not actually done yet (same generation but queried earlier in
             // the same instant); re-arm at the true time.
-            sched.at(when, GridEvent::PhaseDone { server, phase, gen });
+            let from = self.origin(now, when);
+            sched.at(
+                when,
+                GridEvent::PhaseDone {
+                    server,
+                    phase,
+                    gen,
+                    from,
+                },
+            );
             return;
         }
         let flight = *self.flight(task);
@@ -976,9 +1151,13 @@ impl GridWorld {
                 self.servers[server.index()].finish_compute(now, task);
                 // Correction 2: the server notifies the agent of the
                 // completed computation.
-                self.reports[server.index()].note_completion();
+                let i = server.index();
+                let len = self.servers[i].run_queue_len();
+                self.loads.note_completion(i, now, &self.cur, len);
                 self.flight_mut(task).phase = Phase::Output;
-                if let Some(link) = &mut self.client_link {
+                if self.client_link.is_some() {
+                    self.wake(ServerId(0), now, sched);
+                    let link = self.client_link.as_mut().expect("shared link enabled");
                     link.add(now, task, flight.costs.output);
                     self.resched(server, Phase::Compute, sched);
                     self.resched_client_link(sched);
@@ -1016,7 +1195,8 @@ impl GridWorld {
             .next_completion(now);
         let Some((task, when)) = next else { return };
         if when.as_secs() > now.as_secs() + COMPLETION_EPS {
-            sched.at(when, GridEvent::ClientLinkDone { gen });
+            let from = self.origin(now, when);
+            sched.at(when, GridEvent::ClientLinkDone { gen, from });
             return;
         }
         self.client_link
@@ -1032,6 +1212,9 @@ impl GridWorld {
         }
     }
 
+    /// Eager per-server report (the executable spec only: the lazy
+    /// path never schedules one).
+    #[cfg(test)]
     fn handle_load_report(
         &mut self,
         now: SimTime,
@@ -1039,9 +1222,9 @@ impl GridWorld {
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
         self.report_events += 1;
-        let len = self.servers[server.index()].run_queue_len();
-        let value = self.monitors[server.index()].observe(now, len);
-        self.reports[server.index()].refresh(now, value);
+        let i = server.index();
+        let len = self.servers[i].run_queue_len();
+        self.loads.refresh(i, now, len);
         if self.remaining > 0 {
             sched.in_(
                 SimTime::from_secs(self.cfg.load_report_period),
@@ -1051,10 +1234,9 @@ impl GridWorld {
     }
 
     /// Aggregated report: one kernel event refreshes the whole shard
-    /// block. Per-server work is identical to the per-server events (one
-    /// monitor observation and one report refresh each); only the kernel
-    /// pressure changes — O(n_shards) pending report events instead of
-    /// O(n_servers).
+    /// block, one monitor observation and one report refresh per
+    /// member — O(n_shards) pending report events (the default lazy
+    /// per-server reports hold none).
     fn handle_shard_load_report(
         &mut self,
         now: SimTime,
@@ -1072,8 +1254,7 @@ impl GridWorld {
         for s in members {
             let i = s as usize;
             let len = self.servers[i].run_queue_len();
-            let value = self.monitors[i].observe(now, len);
-            self.reports[i].refresh(now, value);
+            self.loads.refresh(i, now, len);
         }
         if self.remaining > 0 {
             sched.in_(
@@ -1083,38 +1264,36 @@ impl GridWorld {
         }
     }
 
+    /// A redraw epoch on an armed chain: applied as it always was. The
+    /// chain re-arms only while the server is busy; an idle server
+    /// records its next epoch instead and catches up on its next touch
+    /// ([`GridWorld::wake`]).
     fn handle_noise_redraw(
         &mut self,
         now: SimTime,
         server: ServerId,
         sched: &mut Scheduler<'_, GridEvent>,
     ) {
+        let i = server.index();
+        debug_assert_eq!(self.noise[i].next, now, "redraw off its chain");
         if self.cfg.noise_sigma > 0.0 {
-            let i = server.index();
-            let cpu_factor = self.noise_dist.sample(&mut self.cpu_noise[i]);
-            let net_factor = self.noise_dist.sample(&mut self.net_noise[i]);
-            self.servers[i].set_noise(now, cpu_factor);
-            self.servers[i].link_in.set_capacity(now, net_factor);
-            self.servers[i].link_out.set_capacity(now, net_factor);
+            self.redraw(i, now);
             self.resched(server, Phase::Input, sched);
             self.resched(server, Phase::Compute, sched);
             self.resched(server, Phase::Output, sched);
-            // In shared-link mode, server 0's net stream doubles as the
-            // client link's noise source (one redraw per period).
             if i == 0 && self.client_link.is_some() {
-                let factor = self.noise_dist.sample(&mut self.net_noise[0]);
-                self.client_link
-                    .as_mut()
-                    .expect("just checked")
-                    .set_capacity(now, factor);
                 self.resched_client_link(sched);
             }
         }
-        if self.remaining > 0 {
-            sched.in_(
-                SimTime::from_secs(self.cfg.noise_redraw_period),
-                GridEvent::NoiseRedraw { server },
-            );
+        let busy = self.busy(i);
+        #[cfg(test)]
+        let busy = busy || self.eager_housekeeping;
+        let rearm = self.remaining > 0 && busy;
+        let chain = &mut self.noise[i];
+        chain.advance(SimTime::from_secs(self.cfg.noise_redraw_period));
+        chain.armed = rearm;
+        if rearm {
+            sched.at(chain.next, GridEvent::NoiseRedraw { server });
         }
     }
 
@@ -1148,6 +1327,7 @@ impl GridWorld {
                 // The commit-time memory reservation is still held;
                 // releasing it can ease thrashing, which changes the CPU
                 // capacity — keep the CPU event fresh.
+                self.wake(server, now, sched);
                 self.servers[server.index()].release(now, task);
                 self.resched(server, Phase::Compute, sched);
             }
@@ -1179,15 +1359,18 @@ impl GridWorld {
                 // held slot is released below, and the fair dequeue
                 // decides when it reaches the pipeline again.
                 adm.stats.reentries += 1;
-                self.buffer_or_shed(now, task.index(), attempts + 1, vec![server], sched);
+                self.buffer_or_shed(now, task.index(), attempts + 1, Box::new([server]), sched);
                 self.release_admission(now, sched);
             } else {
-                sched.in_(
-                    SimTime::from_secs(self.cfg.redispatch_backoff),
+                let at = now + SimTime::from_secs(self.cfg.redispatch_backoff);
+                let from = self.origin(now, at);
+                sched.at(
+                    at,
                     GridEvent::Schedule {
                         idx: task.index(),
                         attempt: attempts + 1,
-                        excluded: vec![server],
+                        excluded: Box::new([server]),
+                        from,
                     },
                 );
             }
@@ -1258,10 +1441,9 @@ impl GridWorld {
                 .as_mut()
                 .expect("crash events exist only under churn")
                 .next_downtime(server);
-            sched.in_(
-                SimTime::from_secs(downtime),
-                GridEvent::ServerJoin { server },
-            );
+            let at = now + SimTime::from_secs(downtime);
+            let from = self.origin(now, at);
+            sched.at(at, GridEvent::ServerJoin { server, from });
         }
     }
 
@@ -1285,9 +1467,9 @@ impl GridWorld {
         // runtime really did collapse will refuse its next reservation
         // and be re-marked.
         self.agent_known_dead[server.index()] = false;
-        self.monitors[server.index()] = LoadAverage::new(self.cfg.load_tau);
-        self.reports[server.index()] = LoadReport::initial(server);
-        let _ = now;
+        let i = server.index();
+        let len = self.servers[i].run_queue_len();
+        self.loads.reset(i, now, &self.cur, len);
         self.maybe_rebalance(sched);
         if self.remaining > 0 {
             let uptime = self
@@ -1295,10 +1477,9 @@ impl GridWorld {
                 .as_mut()
                 .expect("join events exist only under churn")
                 .next_uptime(server);
-            sched.in_(
-                SimTime::from_secs(uptime),
-                GridEvent::ServerCrash { server },
-            );
+            let at = now + SimTime::from_secs(uptime);
+            let from = self.origin(now, at);
+            sched.at(at, GridEvent::ServerCrash { server, from });
         }
     }
 
@@ -1326,13 +1507,13 @@ impl GridWorld {
     /// the declared column, and the agent joins it into the owning (last)
     /// shard through the proven incremental pushes — no engine rebuild,
     /// no other shard touched. The newcomer is live, idle and eligible
-    /// from its very next decision; its periodic report/noise events are
-    /// scheduled here (in aggregated-report mode the owning shard's
-    /// existing report chain covers it for free, since shard reports walk
-    /// the *current* block). The fault schedule deliberately does not
-    /// extend to provisioned servers: churn streams are drawn per initial
-    /// server at init so the schedule stays a function of the churn seed
-    /// alone.
+    /// from its very next decision; its report and noise chains start
+    /// one period from now, both lazy (in aggregated-report mode the
+    /// owning shard's existing report chain covers it for free, since
+    /// shard reports walk the *current* block). The fault schedule
+    /// deliberately does not extend to provisioned servers: churn streams
+    /// are drawn per initial server at init so the schedule stays a
+    /// function of the churn seed alone.
     fn handle_server_provision(
         &mut self,
         now: SimTime,
@@ -1352,8 +1533,12 @@ impl GridWorld {
         assert_eq!(agent_id, id, "world and router must agree on the new id");
         self.server_mem.push(spec.total_mem_mb());
         self.servers.push(ServerRuntime::new(spec, self.cfg.memory));
-        self.monitors.push(LoadAverage::new(self.cfg.load_tau));
-        self.reports.push(LoadReport::initial(id));
+        self.loads.push_server(now, &self.cur);
+        self.noise.push(NoiseChain {
+            next: now + SimTime::from_secs(self.cfg.noise_redraw_period),
+            pushed: Moment::at(now),
+            armed: false,
+        });
         self.cpu_noise
             .push(RngStream::derive(self.cfg.seed, StreamKind::CpuNoise(id.0)));
         self.net_noise
@@ -1362,8 +1547,8 @@ impl GridWorld {
         self.live.push(true);
         self.inflight.push(Vec::new());
         self.churn_stats.provisions += 1;
-        let _ = now;
-        if self.remaining > 0 {
+        #[cfg(test)]
+        if self.eager_housekeeping && self.remaining > 0 {
             if !self.cfg.aggregated_reports {
                 sched.in_(
                     SimTime::from_secs(self.cfg.load_report_period),
@@ -1371,6 +1556,7 @@ impl GridWorld {
                 );
             }
             if self.cfg.noise_sigma > 0.0 {
+                self.noise[id.index()].armed = true;
                 sched.in_(
                     SimTime::from_secs(self.cfg.noise_redraw_period),
                     GridEvent::NoiseRedraw { server: id },
@@ -1396,7 +1582,6 @@ impl World for GridWorld {
         for (idx, task) in self.tasks.iter().enumerate() {
             sched.at(task.arrival, GridEvent::Submit { idx });
         }
-        let n = self.servers.len().max(1);
         if self.cfg.aggregated_reports {
             // One report event per shard, staggered across shards the
             // same way per-server reports stagger across servers.
@@ -1409,31 +1594,17 @@ impl World for GridWorld {
                 );
             }
         }
-        for i in 0..self.servers.len() {
-            // Stagger periodic events across servers so reports don't all
-            // land on the same instant.
-            if !self.cfg.aggregated_reports {
-                let phase = self.cfg.load_report_period * (i + 1) as f64 / n as f64;
-                sched.at(
-                    SimTime::from_secs(phase),
-                    GridEvent::LoadReport {
-                        server: ServerId(i as u32),
-                    },
-                );
-            }
-            if self.cfg.noise_sigma > 0.0 {
-                let phase = self.cfg.noise_redraw_period * (i + 1) as f64 / n as f64;
-                sched.at(
-                    SimTime::from_secs(phase),
-                    GridEvent::NoiseRedraw {
-                        server: ServerId(i as u32),
-                    },
-                );
-            }
+        // Per-server reports and redraws need no event here: their
+        // chains (staggered across one period so reports don't all land
+        // on the same instant) start in the world's books.
+        #[cfg(test)]
+        if self.eager_housekeeping {
+            self.init_eager_housekeeping(sched);
         }
         for (idx, p) in self.provisions.iter().enumerate() {
             sched.at(p.at, GridEvent::ServerProvision { idx });
         }
+        let crash_push = self.provision_push(self.provisions.len());
         if let Some(churn) = &mut self.churn {
             // Each server's first failure comes from its own uptime
             // stream, so the fault schedule is a function of the churn
@@ -1443,7 +1614,10 @@ impl World for GridWorld {
                 let uptime = churn.next_uptime(server);
                 sched.at(
                     SimTime::from_secs(uptime),
-                    GridEvent::ServerCrash { server },
+                    GridEvent::ServerCrash {
+                        server,
+                        from: Origin::init(crash_push + i as u64),
+                    },
                 );
             }
         }
@@ -1451,7 +1625,10 @@ impl World for GridWorld {
 
     fn handle(&mut self, now: SimTime, event: GridEvent, sched: &mut Scheduler<'_, GridEvent>) {
         match event {
-            GridEvent::Submit { idx } => self.handle_submit(now, idx, sched),
+            GridEvent::Submit { idx } => {
+                self.cur = Origin::init(idx as u64);
+                self.handle_submit(now, idx, sched)
+            }
             GridEvent::AdmissionTimeout { idx, gen } => {
                 self.handle_admission_timeout(now, idx, gen)
             }
@@ -1459,30 +1636,55 @@ impl World for GridWorld {
                 idx,
                 attempt,
                 excluded,
-            } => self.handle_schedule(now, idx, attempt, excluded, sched),
-            GridEvent::PhaseDone { server, phase, gen } => {
+                from,
+            } => {
+                self.cur = from;
+                self.handle_schedule(now, idx, attempt, excluded, sched)
+            }
+            GridEvent::PhaseDone {
+                server,
+                phase,
+                gen,
+                from,
+            } => {
+                self.cur = from;
                 self.handle_phase_done(now, server, phase, gen, sched)
             }
-            GridEvent::ClientLinkDone { gen } => self.handle_client_link_done(now, gen, sched),
+            GridEvent::ClientLinkDone { gen, from } => {
+                self.cur = from;
+                self.handle_client_link_done(now, gen, sched)
+            }
+            #[cfg(test)]
             GridEvent::LoadReport { server } => {
                 let _reports = prof::span(prof::Phase::Reports);
                 self.handle_load_report(now, server, sched)
             }
+            // Per-server reports are lazy: the world never schedules one.
+            #[cfg(not(test))]
+            GridEvent::LoadReport { .. } => {}
             GridEvent::ShardLoadReport { shard } => {
                 let _reports = prof::span(prof::Phase::Reports);
                 self.handle_shard_load_report(now, shard, sched)
             }
-            GridEvent::NoiseRedraw { server } => self.handle_noise_redraw(now, server, sched),
-            GridEvent::ServerCrash { server } => {
+            GridEvent::NoiseRedraw { server } => {
+                // Noise-driven completions land at continuous times, so
+                // only the push instant can matter for their ties.
+                self.cur = Origin::pushed_at(self.noise[server.index()].pushed);
+                self.handle_noise_redraw(now, server, sched)
+            }
+            GridEvent::ServerCrash { server, from } => {
                 let _churn = prof::span(prof::Phase::Churn);
+                self.cur = from;
                 self.handle_server_crash(now, server, sched)
             }
             GridEvent::ServerProvision { idx } => {
                 let _churn = prof::span(prof::Phase::Churn);
+                self.cur = Origin::init(self.provision_push(idx));
                 self.handle_server_provision(now, idx, sched)
             }
-            GridEvent::ServerJoin { server } => {
+            GridEvent::ServerJoin { server, from } => {
                 let _churn = prof::span(prof::Phase::Churn);
+                self.cur = from;
                 self.handle_server_join(now, server, sched)
             }
             GridEvent::ServerLeave { server } => {
@@ -2191,9 +2393,10 @@ mod tests {
         assert_eq!(flat, btree, "rankings backends diverged under churn");
     }
 
-    /// Aggregated load reports fire O(n_shards) kernel events per period
-    /// instead of O(n_servers) — and, for a heuristic that never reads
-    /// the reports, change nothing else about the run.
+    /// Per-server load reports are lazy and cost no kernel event at all;
+    /// aggregated reports still fire one kernel event per shard per
+    /// period — and, for a heuristic that never reads the reports,
+    /// change nothing else about the run.
     #[test]
     fn aggregated_reports_fire_per_shard_not_per_server() {
         let (costs, servers) = six_setup();
@@ -2212,19 +2415,8 @@ mod tests {
         // HMCT never reads the load reports, so the whole run is
         // bit-identical — the only difference is kernel pressure.
         assert_eq!(per_server_recs, per_shard_recs);
+        assert_eq!(per_server_events, 0, "per-server reports are lazy");
         assert!(per_shard_events > 0, "aggregated reports must fire");
-        // 3 shards over 6 servers, same period, same staggering, same
-        // horizon: half the kernel events (± the tail-of-run partials).
-        assert!(
-            per_shard_events * 2 <= per_server_events + 6,
-            "expected ~{}/2 aggregated report events, got {per_shard_events}",
-            per_server_events
-        );
-        assert!(
-            per_shard_events * 2 + 6 >= per_server_events,
-            "aggregated mode fired implausibly few events: \
-             {per_shard_events} vs {per_server_events} per-server"
-        );
         // A report-reading heuristic still completes every task on the
         // aggregated schedule (its decisions may legitimately differ).
         let mct = ExperimentConfig::paper(HeuristicKind::Mct, 11)
@@ -2820,5 +3012,329 @@ mod tests {
             "each re-entry was counted once as a redispatch"
         );
         assert_eq!(adm.buffered, adm.dequeued + adm.shed_deadline);
+    }
+}
+
+/// The lazy-housekeeping equivalence suite: whole campaigns with lazy
+/// reports and redraws against the eager spec (every server reporting
+/// and redrawing on its own kernel events), record for record.
+#[cfg(test)]
+mod lazy_housekeeping {
+    use super::*;
+    use crate::config::Sharding;
+    use cas_core::heuristics::HeuristicKind;
+    use cas_core::SelectorKind;
+    use cas_platform::{MemoryModel, Problem, ProblemId};
+    use cas_sim::engine::RunOutcome;
+    use proptest::prelude::*;
+
+    fn t(s: f64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    /// What a finished campaign leaves behind.
+    #[derive(Debug)]
+    struct Outcome {
+        records: Vec<TaskRecord>,
+        churn: ChurnStats,
+        admission: AdmissionStats,
+        waits: Vec<f64>,
+        processed: u64,
+        report_events: u64,
+        ties: [u64; 2],
+    }
+
+    /// Runs `world` to completion, with graceful leaves `(at, server)`
+    /// scheduled from outside.
+    fn run(world: GridWorld, leaves: &[(f64, u32)]) -> Outcome {
+        let mut sim = Simulation::new(world);
+        for &(at, server) in leaves {
+            sim.schedule(
+                t(at),
+                GridEvent::ServerLeave {
+                    server: ServerId(server),
+                },
+            );
+        }
+        assert_eq!(sim.run_to_completion(), RunOutcome::Exhausted);
+        let processed = sim.processed();
+        let world = sim.into_world();
+        assert_eq!(world.remaining(), 0, "every task must end terminal");
+        let simulated = world.agent().simulated_completions();
+        let mut records = world.records().to_vec();
+        for rec in &mut records {
+            rec.predicted_completion = simulated.get(&rec.task).copied();
+        }
+        Outcome {
+            records,
+            churn: world.churn_stats(),
+            admission: world.admission_stats(),
+            waits: world.admission_waits().to_vec(),
+            processed,
+            report_events: world.report_events(),
+            ties: world.loads.ties(),
+        }
+    }
+
+    /// Runs the campaign `build` describes lazily and eagerly and
+    /// asserts the two are the same campaign.
+    fn assert_lazy_matches_eager(
+        build: impl Fn() -> GridWorld,
+        leaves: &[(f64, u32)],
+    ) -> (Outcome, Outcome) {
+        let lazy = run(build(), leaves);
+        let eager = run(build().with_eager_housekeeping(), leaves);
+        assert_eq!(lazy.records, eager.records, "records diverged");
+        assert_eq!(lazy.churn, eager.churn, "churn counters diverged");
+        assert_eq!(lazy.admission, eager.admission, "admission diverged");
+        assert_eq!(lazy.waits, eager.waits, "admission waits diverged");
+        (lazy, eager)
+    }
+
+    /// A small random farm: `n` servers, two problems (server 0 solves
+    /// both, the rest of problem 1 is patchy), costs on an integer grid
+    /// (so completions and arrivals land on report instants) or
+    /// continuous.
+    fn farm(
+        rng: &mut RngStream,
+        n: usize,
+        grid: bool,
+        mem_mb: f64,
+    ) -> (CostTable, Vec<ServerSpec>) {
+        let mut draw = |lo: u64, hi: u64| {
+            if grid {
+                (lo + rng.below(hi - lo)) as f64
+            } else {
+                rng.uniform(lo as f64, hi as f64)
+            }
+        };
+        let mut costs = CostTable::new(n);
+        for p in 0..2 {
+            let column = (0..n)
+                .map(|s| {
+                    let solvable = p == 0 || s == 0 || draw(0, 3) >= 1.0;
+                    let c = PhaseCosts::new(draw(0, 3), draw(4, 45), draw(0, 3));
+                    solvable.then_some(c)
+                })
+                .collect();
+            costs.add_problem(Problem::new(format!("p{p}"), 1.0, 0.5, mem_mb), column);
+        }
+        let servers = (0..n)
+            .map(|s| ServerSpec::new(format!("s{s}"), 500.0, 600.0, 200.0 + draw(0, 400)))
+            .collect();
+        (costs, servers)
+    }
+
+    fn tasks(rng: &mut RngStream, n: usize, grid: bool) -> Vec<TaskInstance> {
+        let mut at = 0.0;
+        (0..n)
+            .map(|i| {
+                at += if grid {
+                    rng.below(16) as f64
+                } else {
+                    rng.uniform(0.0, 12.0)
+                };
+                let problem = ProblemId(rng.below(2) as u32);
+                TaskInstance::new(TaskId(i as u64), problem, t(at))
+            })
+            .collect()
+    }
+
+    const HEURISTICS: [HeuristicKind; 4] = [
+        HeuristicKind::Mct,
+        HeuristicKind::MinLoad,
+        HeuristicKind::Hmct,
+        HeuristicKind::Msf,
+    ];
+
+    proptest! {
+        /// Lazy ≡ eager over the whole configuration space the
+        /// housekeeping interacts with: noise, memory, the shared client
+        /// link, crash/join churn and graceful leaves, mid-campaign
+        /// provisions, admission backpressure, report readers (MCT,
+        /// MinLoad) and non-readers (HMCT, MSF), exhaustive and adaptive
+        /// selection, the single agent and a federation (with per-server
+        /// or aggregated shard reports), report periods that do and do
+        /// not divide the grid.
+        #[test]
+        fn lazy_housekeeping_matches_eager_campaigns(
+            seed in 0u64..1_000_000,
+            shape in (2usize..8, 8usize..40, 0usize..4, 0usize..3),
+            switches in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+            lifecycle in (proptest::bool::ANY, 0usize..3, proptest::bool::ANY, proptest::bool::ANY),
+            adaptive in proptest::bool::ANY,
+            federation in 0usize..3,
+        ) {
+            let (n, n_tasks, pick, period_pick) = shape;
+            let (grid, noise, memory, shared) = switches;
+            let (churn, provisions, admission, leave) = lifecycle;
+            let mut rng = RngStream::from_seed_key(seed, 0x1a2e);
+            let (costs, servers) = farm(&mut rng, n, grid, if memory { 150.0 } else { 0.0 });
+            let tasks = tasks(&mut rng, n_tasks, grid);
+            let kind = HEURISTICS[pick];
+            let mut cfg = if noise {
+                ExperimentConfig::paper(kind, seed)
+            } else {
+                ExperimentConfig::ideal(kind, seed)
+            };
+            cfg.load_report_period = [5.0, 30.0, 7.5][period_pick];
+            cfg.noise_redraw_period = if period_pick == 2 { 3.0 } else { 20.0 };
+            cfg.memory = if memory { MemoryModel::thrashing(2.0, 6) } else { MemoryModel::disabled() };
+            cfg.fault_tolerance = FaultTolerance::RankedRetry { max_attempts: 3 };
+            cfg.shared_client_link = shared;
+            if adaptive {
+                cfg = cfg.with_selector(SelectorKind::Adaptive { k_min: 1, k_max: 3 });
+            }
+            if federation > 0 {
+                cfg = cfg
+                    .with_shards(Sharding::Federated { shards: 2 })
+                    .with_aggregated_reports(federation == 2);
+            }
+            if churn {
+                cfg = cfg.with_churn(40.0 + rng.below(120) as f64, 5.0 + rng.below(30) as f64)
+                    .with_churn_seed(seed ^ 0x5eed);
+            }
+            if admission {
+                cfg = cfg.with_admission(1 + rng.below(4) as usize, 4, 25.0);
+            }
+            let joins: Vec<Provision> = (0..provisions)
+                .map(|_| Provision {
+                    at: t(rng.below(120) as f64),
+                    spec: ServerSpec::new("joiner", 700.0, 600.0, 400.0),
+                    column: vec![
+                        Some(PhaseCosts::new(1.0, 6.0 + rng.below(20) as f64, 1.0)),
+                        Some(PhaseCosts::new(0.0, 9.0 + rng.below(20) as f64, 2.0)),
+                    ],
+                })
+                .collect();
+            // A federation re-partitions on a leave, which needs the op
+            // history only churning runs record.
+            let leaves: Vec<(f64, u32)> = if leave && (churn || federation == 0) {
+                vec![(rng.below(90) as f64, 1 + rng.below(n as u64 - 1) as u32)]
+            } else {
+                Vec::new()
+            };
+            let users: Vec<u32> = (0..n_tasks as u32).map(|i| i % 3).collect();
+            let build = || {
+                GridWorld::new(cfg, costs.clone(), servers.clone(), tasks.clone())
+                    .with_users(users.clone())
+                    .with_provisions(joins.clone())
+            };
+            let (lazy, eager) = assert_lazy_matches_eager(build, &leaves);
+            if federation < 2 {
+                prop_assert_eq!(lazy.report_events, 0);
+            }
+            prop_assert!(lazy.processed <= eager.processed);
+        }
+    }
+
+    /// Report instants tied with the touching event, resolved both ways:
+    /// 32 ideal servers report every 30 s at 30·(i+1)/32 + 30k — exact
+    /// binary fractions, so servers 15 and 31 report on integer
+    /// seconds — while integer arrivals and integer phase costs land
+    /// decisions, assignments and completions on those same seconds,
+    /// and MCT reads every candidate's report at every decision.
+    #[test]
+    fn lazy_housekeeping_resolves_exact_report_ties() {
+        let n = 32;
+        let mut costs = CostTable::new(n);
+        for p in 0..2u32 {
+            costs.add_problem(
+                Problem::new(format!("p{p}"), 1.0, 0.5, 0.0),
+                (0..n)
+                    .map(|s| {
+                        // Servers 15 and 31 are the fast ones, so most work
+                        // (and most report touches) lands on them.
+                        // 45 s computations span a whole report period,
+                        // so completions land on instants pushed before
+                        // the previous report. Problem 1 chains two
+                        // steps: a 45 s input from a slot boundary ends
+                        // on an instant, and the 30 s computation it
+                        // starts ends on the next one — pushed exactly
+                        // one period ahead, so only the parents' push
+                        // order breaks the tie.
+                        let compute = if s % 16 == 15 {
+                            45 - 15 * p
+                        } else {
+                            50 + (s % 7) as u32
+                        };
+                        Some(PhaseCosts::new(
+                            f64::from(p * 45),
+                            f64::from(compute),
+                            f64::from(p),
+                        ))
+                    })
+                    .collect(),
+            );
+        }
+        let servers: Vec<ServerSpec> = (0..n)
+            .map(|s| ServerSpec::new(format!("s{s}"), 1000.0, 1024.0, 1024.0))
+            .collect();
+        let mut rng = RngStream::from_seed_key(12, 0x71e5);
+        // About one arrival per 30 s, mostly on the 15 s grid servers 15
+        // and 31 report on, sometimes off it.
+        let mut arrivals: Vec<u64> = (0..160u64)
+            .map(|i| {
+                let jitter = if rng.below(4) == 0 { rng.below(15) } else { 0 };
+                30 * i + 15 * rng.below(2) + jitter
+            })
+            .collect();
+        arrivals.sort_unstable();
+        let tasks: Vec<TaskInstance> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| {
+                let problem = ProblemId(rng.below(2) as u32);
+                TaskInstance::new(TaskId(i as u64), problem, t(at as f64))
+            })
+            .collect();
+        let mut cfg = ExperimentConfig::ideal(HeuristicKind::Mct, 12);
+        cfg.load_report_period = 30.0;
+        cfg.load_tau = 60.0;
+        let build = || GridWorld::new(cfg, costs.clone(), servers.clone(), tasks.clone());
+        let (lazy, eager) = assert_lazy_matches_eager(build, &[]);
+        let [report_first, event_first] = lazy.ties;
+        assert!(
+            report_first > 0 && event_first > 0,
+            "the campaign must tie reports with events both ways: {:?}",
+            lazy.ties
+        );
+        assert_eq!(lazy.report_events, 0);
+        assert!(eager.report_events > 0);
+    }
+
+    /// The O(tasks) gate: on the paper configuration (HMCT, 3 % noise
+    /// redrawn every 20 s, 30 s reports), kernel events per task stay
+    /// under a constant whatever the farm size and the arrival gap —
+    /// eagerly they grow as servers × horizon (~1 700 per task at 1k
+    /// servers and a 20 s gap).
+    #[test]
+    fn lazy_housekeeping_events_per_task_bounded() {
+        const MAX_EVENTS_PER_TASK: f64 = 16.0;
+        let n_tasks = 1000;
+        for n_servers in [100, 1000] {
+            let platform = cas_workload::synthetic::SyntheticPlatform {
+                n_servers,
+                heterogeneity: 4.0,
+                n_problems: 3,
+                ..cas_workload::synthetic::SyntheticPlatform::default()
+            };
+            let (costs, servers) = (platform.cost_table(7), platform.servers(7));
+            for gap in [20.0, 200.0] {
+                let tasks = cas_workload::MetataskSpec {
+                    n_tasks,
+                    ..cas_workload::MetataskSpec::paper(gap)
+                }
+                .generate(1);
+                let cfg = ExperimentConfig::paper(HeuristicKind::Hmct, 1);
+                let world = GridWorld::new(cfg, costs.clone(), servers.clone(), tasks);
+                let outcome = run(world, &[]);
+                let per_task = outcome.processed as f64 / n_tasks as f64;
+                assert!(
+                    per_task <= MAX_EVENTS_PER_TASK,
+                    "{n_servers} servers, gap {gap} s: {per_task:.1} events per task"
+                );
+            }
+        }
     }
 }

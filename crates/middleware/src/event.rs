@@ -1,5 +1,11 @@
 //! The event vocabulary of the grid world.
+//!
+//! Events that can touch a server's load report, or push one that can,
+//! carry an [`Origin`]: where they were pushed, which is what the lazy
+//! load reports need to replay a report instant on the right side of an
+//! event due at the same instant (see [`crate::housekeeping`]).
 
+use crate::housekeeping::Origin;
 use cas_platform::{Phase, ServerId};
 use cas_sim::Generation;
 
@@ -19,7 +25,9 @@ pub enum GridEvent {
         attempt: u32,
         /// Servers that already refused this task (excluded from the
         /// candidate list on retries).
-        excluded: Vec<ServerId>,
+        excluded: Box<[ServerId]>,
+        /// Where the event was pushed.
+        from: Origin,
     },
     /// A phase-completion check on one server resource. Stale events
     /// (generation mismatch) are discarded: membership changed since this
@@ -31,14 +39,20 @@ pub enum GridEvent {
         phase: Phase,
         /// Generation of the resource when the event was scheduled.
         gen: Generation,
+        /// Where the event was pushed.
+        from: Origin,
     },
     /// A transfer-completion check on the shared client link (only used
     /// when `ExperimentConfig::shared_client_link` is on).
     ClientLinkDone {
         /// Generation of the client link when the event was scheduled.
         gen: Generation,
+        /// Where the event was pushed.
+        from: Origin,
     },
-    /// Periodic monitor report from a server to the agent.
+    /// Periodic monitor report from a server to the agent. Per-server
+    /// reports are lazy (see [`crate::housekeeping`]): only the eager
+    /// executable spec schedules this event.
     LoadReport {
         /// The reporting server.
         server: ServerId,
@@ -51,7 +65,8 @@ pub enum GridEvent {
         /// The reporting shard (index into the router's `ShardMap`).
         shard: usize,
     },
-    /// Periodic redraw of a server's ground-truth speed noise.
+    /// Periodic redraw of a server's ground-truth speed noise, scheduled
+    /// only while the server is busy (see [`crate::housekeeping`]).
     NoiseRedraw {
         /// The affected server.
         server: ServerId,
@@ -72,6 +87,8 @@ pub enum GridEvent {
     ServerJoin {
         /// The joining server.
         server: ServerId,
+        /// Where the event was pushed.
+        from: Origin,
     },
     /// A server leaves gracefully: it stops taking new work but its
     /// in-flight tasks drain to completion.
@@ -85,6 +102,8 @@ pub enum GridEvent {
     ServerCrash {
         /// The crashed server.
         server: ServerId,
+        /// Where the event was pushed.
+        from: Origin,
     },
     /// A buffered task's admission deadline fired. If the task is still
     /// waiting in the admission buffer *and* its buffering generation

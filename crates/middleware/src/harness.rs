@@ -360,7 +360,7 @@ impl DiffSession<'_> {
                         now: when,
                         task,
                         costs: &world.table,
-                        reports: &world.reports,
+                        reports: (&world.reports).into(),
                         server_mem: &world.server_mem,
                         admit: &admit,
                     };

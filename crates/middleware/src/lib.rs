@@ -28,6 +28,7 @@ pub mod config;
 pub mod engine;
 pub mod event;
 pub mod harness;
+pub mod housekeeping;
 pub mod runner;
 pub mod shard;
 pub mod validate;

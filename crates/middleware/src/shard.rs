@@ -49,10 +49,10 @@
 use cas_core::heuristics::{DecisionMemo, Heuristic, SchedView};
 use cas_core::selector::{CandidateSelector, SelectorInput};
 use cas_core::whatif::WhatIf;
-use cas_core::{Htm, MemoStats, Prediction, SelectorKind, Stage2Mode, SyncPolicy};
+use cas_core::{Htm, Loads, MemoStats, Prediction, SelectorKind, Stage2Mode, SyncPolicy};
 use cas_platform::{
-    CostTable, IndexScoring, LoadReport, PhaseCosts, ProblemId, RankingsBackend, ServerId,
-    ShardMap, ShardTree, StaticIndex, TaskId, TaskInstance,
+    CostTable, IndexScoring, PhaseCosts, ProblemId, RankingsBackend, ServerId, ShardMap, ShardTree,
+    StaticIndex, TaskId, TaskInstance,
 };
 use cas_sim::{prof, RngStream, SimTime};
 use std::collections::HashMap;
@@ -322,8 +322,8 @@ pub struct DecisionInputs<'a> {
     pub task: TaskInstance,
     /// The farm-wide cost table (stage 2 speaks global ids).
     pub costs: &'a CostTable,
-    /// Per-server load reports, global ids.
-    pub reports: &'a [LoadReport],
+    /// The agent's load picture, global ids.
+    pub reports: Loads<'a>,
     /// Per-server admission limits (RAM + swap), MB, global ids.
     pub server_mem: &'a [f64],
     /// Which servers the agent may consider (excludes retry-refused and

@@ -123,7 +123,7 @@ fn steady_state_decisions_allocate_nothing() {
                 now: t.arrival,
                 task: t,
                 costs: &costs,
-                reports: &reports,
+                reports: (&reports).into(),
                 server_mem: &server_mem,
                 admit: &admit,
             },

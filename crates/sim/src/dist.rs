@@ -180,6 +180,17 @@ impl LogNormalNoise {
     pub fn sigma(&self) -> f64 {
         self.sigma
     }
+
+    /// Advances `rng` exactly as one [`Sample::sample`] call would,
+    /// without computing the value: Box–Muller consumes two raw words
+    /// per draw and caches nothing, so a skipped draw is two raw steps
+    /// (none when `sigma = 0`).
+    pub fn skip(&self, rng: &mut RngStream) {
+        if self.sigma > 0.0 {
+            rng.next_u64_raw();
+            rng.next_u64_raw();
+        }
+    }
 }
 
 impl Sample for LogNormalNoise {
@@ -228,6 +239,25 @@ mod tests {
 
     fn sample_mean<S: Sample>(dist: &S, n: usize, rng: &mut RngStream) -> f64 {
         (0..n).map(|_| dist.sample(rng)).sum::<f64>() / n as f64
+    }
+
+    /// A skipped log-normal draw leaves the stream exactly where a
+    /// sampled one does, for noisy and noise-free shapes alike.
+    #[test]
+    fn lognormal_skip_matches_sample() {
+        for sigma in [0.0, 0.03, 0.5] {
+            let d = LogNormalNoise::new(sigma);
+            let (mut sampled, mut skipped) = (rng(), rng());
+            for _ in 0..7 {
+                d.sample(&mut sampled);
+                d.skip(&mut skipped);
+            }
+            assert_eq!(
+                sampled.next_u64_raw(),
+                skipped.next_u64_raw(),
+                "sigma {sigma}"
+            );
+        }
     }
 
     #[test]

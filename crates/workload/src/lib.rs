@@ -33,5 +33,5 @@ pub use metatask::{arrival_summary, ArrivalSummary, GapDistribution, MetataskSpe
 pub use testbed::Machine;
 pub use trace::{
     AppProfile, CompiledTrace, CsvTrace, FittedTrace, FittedTraceSpec, Trace, TraceEntry,
-    TraceError, TraceWorkload,
+    TraceError, TraceWorkload, MAX_ARRIVAL_S,
 };

@@ -27,11 +27,19 @@ use cas_sim::dist::{Exponential, Sample};
 use cas_sim::{RngStream, SimTime, StreamKind};
 use std::collections::VecDeque;
 
+/// The latest arrival a [`CsvTrace`] accepts, seconds (about 31.7
+/// years). Simulated time advances by adding periods to the clock; far
+/// past this cap an addition can round back to the same instant
+/// (`t + period == t` beyond ~2^53 periods) and a periodic chain would
+/// stop advancing, so a pathological row could make a run unbounded.
+pub const MAX_ARRIVAL_S: f64 = 1e9;
+
 /// One trace row: a request from `user` arriving at `arrival_s` demanding
 /// `duration_s` seconds of service on the reference (fastest) server.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEntry {
-    /// Arrival time, seconds from campaign start (≥ 0, finite).
+    /// Arrival time, seconds from campaign start (≥ 0; at most
+    /// [`MAX_ARRIVAL_S`] when ingested from CSV).
     pub arrival_s: f64,
     /// User/app class id.
     pub user: u32,
@@ -80,7 +88,8 @@ impl std::error::Error for TraceError {}
 
 /// A CSV-ingested trace: `arrival_s,user,duration_s` per row. Blank lines
 /// and `#` comments are skipped, as is an optional header row (a first
-/// data line whose first field is not a number).
+/// data line whose first field is not a number). Arrivals must lie in
+/// `[0, MAX_ARRIVAL_S]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsvTrace {
     entries: VecDeque<TraceEntry>,
@@ -130,6 +139,12 @@ impl CsvTrace {
                 return Err(TraceError::Parse {
                     line: i + 1,
                     what: format!("arrival {arrival_s} must be finite and >= 0"),
+                });
+            }
+            if arrival_s > MAX_ARRIVAL_S {
+                return Err(TraceError::Parse {
+                    line: i + 1,
+                    what: format!("arrival {arrival_s} is past the {MAX_ARRIVAL_S} s horizon cap"),
                 });
             }
             if !duration_s.is_finite() || duration_s <= 0.0 {
@@ -474,6 +489,18 @@ mod tests {
         assert!(err.to_string().contains("duration"));
         let err = CsvTrace::parse("-1.0,1,2.0\n").unwrap_err();
         assert!(err.to_string().contains("arrival"));
+    }
+
+    /// A row past the horizon cap is a typed parse error, not a run
+    /// whose periodic clock additions stop advancing (`1e300 + 30 ==
+    /// 1e300`); the cap itself is still accepted.
+    #[test]
+    fn csv_rejects_arrivals_past_the_horizon_cap() {
+        let err = CsvTrace::parse("0.0,1,5.0\n1e300,0,2.0\n").unwrap_err();
+        assert!(matches!(err, TraceError::Parse { line: 2, .. }), "{err}");
+        assert!(err.to_string().contains("horizon cap"), "{err}");
+        let at_cap = format!("{MAX_ARRIVAL_S},0,2.0\n");
+        assert_eq!(CsvTrace::parse(&at_cap).unwrap().len(), 1);
     }
 
     #[test]

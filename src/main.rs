@@ -207,7 +207,12 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
                 )
             }
             "--gap" => {
-                args.gap = num_flag("--gap", &take(&mut i)?, "a number of seconds (e.g. 15)")?
+                let v = take(&mut i)?;
+                let expected = "a positive, finite number of seconds (e.g. 15)";
+                args.gap = num_flag("--gap", &v, expected)?;
+                if !(args.gap > 0.0 && args.gap.is_finite()) {
+                    return Err(format!("--gap: expected {expected}, got {v:?}"));
+                }
             }
             "--burst" => {
                 let v = take(&mut i)?;
@@ -333,7 +338,13 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
                 args.seed = num_flag("--seed", &take(&mut i)?, "a non-negative integer (e.g. 1)")?
             }
             "--reps" => {
-                args.reps = num_flag("--reps", &take(&mut i)?, "a positive integer (e.g. 3)")?
+                let v = take(&mut i)?;
+                args.reps = num_flag("--reps", &v, "a positive integer (e.g. 3)")?;
+                if args.reps == 0 {
+                    return Err(format!(
+                        "--reps: expected a positive integer (e.g. 3), got {v:?}"
+                    ));
+                }
             }
             "--noise" => {
                 args.noise = num_flag("--noise", &take(&mut i)?, "a sigma >= 0 (e.g. 0.03)")?
@@ -476,7 +487,7 @@ fn cmd_run_trace(args: &Args, path: &str, kind: HeuristicKind) -> Result<(), Str
     let base = config_of(args, kind);
     let mut runs = Vec::with_capacity(args.reps);
     let mut first_slo: Option<Vec<ClassSlo>> = None;
-    for rep in 0..args.reps.max(1) {
+    for rep in 0..args.reps {
         let cfg = base.with_seed(args.seed + rep as u64);
         let (records, stats, waits) = run_experiment_with_users(
             cfg,
@@ -932,7 +943,13 @@ mod tests {
             ("run --tasks many", "--tasks"),
             ("run --seed x", "--seed"),
             ("run --reps -2", "--reps"),
+            ("run --reps 0", "--reps"),
+            ("compare --reps 0", "--reps"),
             ("run --gap fast", "--gap"),
+            ("run --gap 0", "--gap"),
+            ("run --gap -5", "--gap"),
+            ("run --gap nan", "--gap"),
+            ("run --gap inf", "--gap"),
             ("run --noise loud", "--noise"),
             ("run --burst 0.2", "--burst"),
             ("run --burst-period -5", "--burst-period"),
