@@ -325,7 +325,7 @@ fn main() {
         "{{\n  \"bench\": \"decision_cost\",\n  \"unit\": \"microseconds per scheduling decision \
          (one what-if query per candidate server)\",\n  \"baseline\": \"Htm::predict_reference \
          (clone-and-drain per query)\",\n  \"candidate\": \"Htm::predict_all (generation-cached \
-         baseline + zero-clone scratch drain + batched fan-out)\",\n  \"results\": [\n{results}\n  ],\n\
+         baseline + zero-clone scratch drain, serial per candidate)\",\n  \"results\": [\n{results}\n  ],\n\
   \"commit_path\": {{\n    \"unit\": \"microseconds per commit (commit + first baseline read, \
          predict excluded)\",\n    \"baseline\": \"RepairPolicy::FullRedrain (PR 1: invalidate, \
          re-drain on next read)\",\n    \"candidate\": \"RepairPolicy::Incremental (splice: adopt \

@@ -35,13 +35,6 @@ use std::borrow::Cow;
 /// seconds, so an absolute epsilon in seconds is appropriate.
 pub const TIE_EPS: f64 = 1e-9;
 
-/// Candidate lists at most this long take the direct per-candidate
-/// `predict_into` path instead of `predict_all` on the first what-if
-/// query. Matches the federated router's small-run threshold, where
-/// per-candidate queries are already the proven-identical fast path for
-/// short runs; above it the batch path's pool fan-out starts to pay.
-const DIRECT_PREDICT_MAX: usize = 16;
-
 /// A load picture that brings each server's report up to date as it is
 /// read. The engine's lazy load reports implement it: a report instant
 /// skipped while nobody looked is replayed on the first read after it,
@@ -198,15 +191,22 @@ impl MemoSlot<'_> {
 /// The agent's window onto the world at one scheduling decision.
 ///
 /// Predictions are memoised and evaluated over the whole candidate list
-/// on the first what-if query: short lists (≤ [`DIRECT_PREDICT_MAX`])
-/// take one routed `predict_into` per candidate, written straight into
-/// the memo's reusable slots — the steady-state decision loop allocates
-/// nothing — while longer lists batch through [`Htm::predict_all`] (one
-/// generation-cached, zero-clone drain per candidate, threaded when the
-/// load justifies it). Every later query — MP re-reading the winner's
-/// completion date, MNI's tie-breaks — is a memo lookup. A query for a
-/// server outside the candidate list (a wrapper heuristic restoring a
-/// wider list) falls back to a single routed query.
+/// on the first what-if query: one routed `predict_into` per candidate,
+/// whatever the list's length, written straight into the memo's reusable
+/// slots, so the steady-state decision loop allocates nothing. Every
+/// later query — MP re-reading the winner's completion date, MNI's
+/// tie-breaks — is a memo lookup. A query for a server outside the
+/// candidate list (a wrapper heuristic restoring a wider list) falls back
+/// to a single routed query.
+///
+/// Lists longer than 16 used to batch through
+/// [`Htm::predict_all`](crate::Htm::predict_all), fanned over the worker
+/// pool. On a 2-core host one pool scope per decision cost more than the
+/// ~25–40 µs of drains it split (30–57 drains of ~0.7 µs each), so the
+/// scatter was removed: the serial direct loop lifted the casbench
+/// `trace_churn` campaign from ~26k to ~49k tasks/s (median of 10
+/// alternating pairs) with identical records. The batch path survives
+/// only as the [`with_batch_predict`](Self::with_batch_predict) spec.
 pub struct SchedView<'a> {
     /// Decision time.
     pub now: SimTime,
@@ -228,9 +228,9 @@ pub struct SchedView<'a> {
     memo: MemoSlot<'a>,
     /// Whether the candidate list has been batch-predicted already.
     batched: bool,
-    /// Forces the batch `predict_all` arm regardless of candidate count —
-    /// the pre-direct-path decision shape, kept as the executable spec
-    /// the zero-allocation direct path benches and proves against.
+    /// Forces the batch `predict_all` arm — the pre-direct-path decision
+    /// shape, kept as the executable spec the zero-allocation direct path
+    /// benches and proves against.
     batch_only: bool,
     /// Per-server admission limits (RAM + swap), MB — set by the engine
     /// when memory-aware policies are in play.
@@ -283,10 +283,10 @@ impl<'a> SchedView<'a> {
     }
 
     /// Forces the batch [`predict_all`](crate::Htm::predict_all) stage-2
-    /// arm even for short candidate lists — the decision shape before the
-    /// direct zero-allocation path existed. Answers are bit-identical
-    /// either way; the hot-path bench keeps this arm as its same-run
-    /// baseline.
+    /// arm — the decision shape before the direct zero-allocation path
+    /// existed. Answers are bit-identical either way; the hot-path bench
+    /// and the wide-shortlist record-equality test keep this arm as their
+    /// same-run baseline.
     pub fn with_batch_predict(mut self, batch_only: bool) -> Self {
         self.batch_only = batch_only;
         self
@@ -331,22 +331,21 @@ impl<'a> SchedView<'a> {
     }
 
     /// HTM what-if query, memoised per decision; the first query
-    /// evaluates the whole candidate list — per candidate in place for
-    /// short lists, via [`Htm::predict_all`] for long ones.
+    /// evaluates the whole candidate list, per candidate in place (or via
+    /// [`Htm::predict_all`](crate::Htm::predict_all) under the batch spec).
     ///
     /// Returns `None` if the server cannot solve the problem.
     pub fn predict(&mut self, server: ServerId) -> Option<&Prediction> {
         if !self.memo.get().queried(server) {
             if !self.batched && self.candidates.contains(&server) {
                 self.batched = true;
-                if self.candidates.len() <= DIRECT_PREDICT_MAX && !self.batch_only {
-                    // Short list: one routed query per candidate, each
-                    // written into the memo's reusable slot. Bit-identical
-                    // to the batch path (the federated backend already
-                    // serves short same-shard runs per candidate); a
-                    // duplicate candidate re-queries instead of cloning,
-                    // which only nudges the predictions-made counter —
-                    // the answer comes from the same memoised drain.
+                if !self.batch_only {
+                    // One routed query per candidate, each written into
+                    // the memo's reusable slot. Bit-identical to the batch
+                    // path; a duplicate candidate re-queries instead of
+                    // cloning, which only nudges the predictions-made
+                    // counter — the answer comes from the same memoised
+                    // drain.
                     let Self {
                         now,
                         ref task,

@@ -39,12 +39,6 @@
 //!   [`DrainScratch`](crate::trace::DrainScratch): flat reusable buffers
 //!   replaying the exact event arithmetic of the clone-based path, so
 //!   results are bit-for-bit identical without per-query heap allocation.
-//! * **Batched fan-out.** [`Htm::predict_all`] answers one query per
-//!   candidate in a single call and, for large candidate sets with heavily
-//!   loaded traces, fans the per-server work across scoped threads (each
-//!   server's scratch state is independent, so parallelism cannot change
-//!   results).
-//!
 //! * **Incremental baseline repair.** A commit used to invalidate the
 //!   server's baseline and pay a full re-drain on the next query. But the
 //!   speculative *after*-schedule computed for `(task, now)` — which the
@@ -82,16 +76,19 @@
 //!   keyed by trace generation; subsequent probes (and the commit's
 //!   full re-drain) resume from the snapshot instead of replaying the
 //!   trace's whole event history.
-//! * **Parallel scatter.** [`Htm::predict_all`] batches fan out across
-//!   [`cas_sim::pool`] whenever more than one worker is available (the
-//!   conservative load floor of the full mode is dropped), mirroring the
-//!   stage-1 walk's parallel arm; the slot-indexed reduce keeps results
-//!   deterministic.
 //!
 //! [`Stage2Mode::Full`] keeps the previous engine untouched — fresh
-//! scratch load and complete drain per memo miss, load-gated threading —
-//! as the executable specification: differential proptests drive both
-//! modes through arbitrary interleavings and assert bit-for-bit equality.
+//! scratch load and complete drain per memo miss — as the executable
+//! specification: differential proptests drive both modes through
+//! arbitrary interleavings and assert bit-for-bit equality.
+//!
+//! Stage 2 is serial in both modes. [`Htm::predict_all`] once fanned
+//! batches of ≥ 8 candidates over [`cas_sim::pool`]. Measured on a
+//! 2-core host, one pool scope per decision cost more than the
+//! ~25–40 µs of drains it split; the serial loop lifted the casbench
+//! `trace_churn` campaign from ~26k to ~49k tasks/s with identical
+//! records and drain counts. The scatter was removed; a decision
+//! queries each candidate through [`Htm::predict_into`] instead.
 //!
 //! [`Htm::predict_reference`] keeps the original clone-and-drain
 //! implementation; the differential proptests below drive both paths
@@ -108,14 +105,6 @@ use crate::trace::{DrainScratch, PrefixCursor, ServerTrace};
 use cas_platform::{Arena, ArenaKey, CostTable, PhaseCosts, ServerId, TaskId, TaskInstance};
 use cas_sim::{Generation, SimTime};
 use std::collections::HashMap;
-
-/// Fan candidate evaluation across the shared pool only when the candidate
-/// set and the simulated load are both large enough to amortise job
-/// queueing (a loaded drain is tens of µs).
-const PARALLEL_MIN_CANDIDATES: usize = 8;
-
-/// Minimum total active tasks across candidate traces before threading.
-const PARALLEL_MIN_ACTIVE: usize = 1024;
 
 /// After-schedules at most this long answer completion/perturbation
 /// lookups by linear scan instead of rebuilding the per-query hash map —
@@ -160,15 +149,13 @@ pub enum RepairPolicy {
 /// bit-identical predictions and therefore bit-identical decisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Stage2Mode {
-    /// Truncated, prefix-sharing drains with the multi-core scatter —
-    /// the production engine.
+    /// Truncated, prefix-sharing drains — the production engine.
     #[default]
     Fast,
     /// The pre-optimisation engine: full drain per memo miss from a fresh
-    /// scratch load, threading only above the conservative load floor.
-    /// Kept as the executable specification `Fast` is differentially
-    /// tested against, and as the same-run baseline of the stage-2 bench
-    /// gate.
+    /// scratch load. Kept as the executable specification `Fast` is
+    /// differentially tested against, and as the same-run baseline of the
+    /// stage-2 bench gate.
     Full,
 }
 
@@ -566,10 +553,6 @@ pub struct Htm {
     /// reads the probe's completion, so queries skip the perturbation
     /// fill and drains may truncate.
     completion_only: bool,
-    /// Forces the `predict_all` pool fan-out on (`Some(true)`) or off
-    /// (`Some(false)`) regardless of worker count — the test hook behind
-    /// the forced-parallel equality step, mirroring the stage-1 arm.
-    parallel_override: Option<bool>,
     predictions_made: u64,
 }
 
@@ -587,7 +570,6 @@ impl Htm {
             repair: RepairPolicy::default(),
             stage2: Stage2Mode::default(),
             completion_only: false,
-            parallel_override: None,
             predictions_made: 0,
         }
     }
@@ -628,13 +610,6 @@ impl Htm {
     /// Whether completion-only query depth is active.
     pub fn completion_only(&self) -> bool {
         self.completion_only
-    }
-
-    /// Forces the batched stage-2 fan-out on or off (`None` restores the
-    /// automatic worker-count gate) — the test hook the forced-parallel
-    /// equality tests drive, mirroring the stage-1 arm's override.
-    pub fn set_parallel_stage2(&mut self, force: Option<bool>) {
-        self.parallel_override = force;
     }
 
     /// Enables Gantt recording on one server's trace (diagnostics, Fig. 1).
@@ -806,123 +781,22 @@ impl Htm {
     /// Answers one what-if query per candidate in a single batch.
     ///
     /// `results[k]` corresponds to `candidates[k]`; `None` means that
-    /// server cannot solve the task's problem. Results are identical to
-    /// calling [`Self::predict`] per candidate. For large candidate sets
-    /// over heavily loaded traces the per-server work fans out across the
-    /// shared work-stealing pool ([`cas_sim::pool`]); each server's cache
-    /// and scratch are independent and every result lands in its own
-    /// candidate slot, so the fan-out cannot change any result.
+    /// server cannot solve the task's problem. Defined as, and identical
+    /// to, calling [`Self::predict`] per candidate in order; a duplicate
+    /// candidate re-queries the memo it just filled. Decisions no longer
+    /// come through here (they write each answer in place through
+    /// [`Self::predict_into`]): this allocating batch is the executable
+    /// spec the benches and the record-equality tests compare against.
     pub fn predict_all(
         &mut self,
         now: SimTime,
         task: &TaskInstance,
         candidates: &[ServerId],
     ) -> Vec<Option<Prediction>> {
-        let (mode, completion_only) = (self.stage2, self.completion_only);
-        // Fast mode scatters whenever more than one worker exists (the
-        // per-drain work is already minimised, so the fan-out pays from
-        // small batches); full mode keeps the conservative load floor of
-        // the pre-optimisation engine. Tests force either arm through the
-        // override, mirroring the stage-1 walk. Gated on the raw
-        // candidate list (selectors produce distinct, solvable-heavy
-        // lists) so the serial path below never pays for the batch
-        // machinery.
-        let parallel = candidates.len() > 1
-            && match mode {
-                Stage2Mode::Fast => self.parallel_override.unwrap_or_else(|| {
-                    candidates.len() >= PARALLEL_MIN_CANDIDATES
-                        && cas_sim::pool::global().workers() > 1
-                }),
-                Stage2Mode::Full => {
-                    candidates.len() >= PARALLEL_MIN_CANDIDATES && {
-                        let total_active: usize = candidates
-                            .iter()
-                            .map(|&s| self.traces[s.index()].active_len())
-                            .sum();
-                        total_active >= PARALLEL_MIN_ACTIVE
-                    }
-                }
-            };
-        if !parallel {
-            // Serial path: one routed query per candidate, straight
-            // through the per-server memo and scratch — no slot map, no
-            // state scan, no intermediate buffers. Per-server queries are
-            // independent, so candidate order is as good as index order,
-            // and a duplicate candidate re-queries into the memo it just
-            // filled (bit-identical answer).
-            return candidates
-                .iter()
-                .map(|&s| {
-                    let costs = self.costs.costs(task.problem, s)?;
-                    self.predictions_made += 1;
-                    let trace = &self.traces[s.index()];
-                    let state = &mut self.predict_states[s.index()];
-                    Some(state.predict(trace, now, task.id, costs, mode, completion_only))
-                })
-                .collect();
-        }
-        let mut results: Vec<Option<Prediction>> = Vec::new();
-        results.resize_with(candidates.len(), || None);
-        let costs: Vec<Option<PhaseCosts>> = candidates
+        candidates
             .iter()
-            .map(|&s| self.costs.costs(task.problem, s))
-            .collect();
-        // Map server index → result slot, so per-server `&mut` state can be
-        // collected disjointly (duplicates keep the last slot and are
-        // back-filled below).
-        let mut slot_of = vec![usize::MAX; self.traces.len()];
-        for (slot, &s) in candidates.iter().enumerate() {
-            if costs[slot].is_some() {
-                slot_of[s.index()] = slot;
-            }
-        }
-        let traces = &self.traces;
-        let mut selected: Vec<(usize, &ServerTrace, &mut PredictState)> = Vec::new();
-        for (idx, state) in self.predict_states.iter_mut().enumerate() {
-            let slot = slot_of[idx];
-            if slot != usize::MAX {
-                selected.push((slot, &traces[idx], state));
-            }
-        }
-        self.predictions_made += selected.len() as u64;
-        {
-            let pool = cas_sim::pool::global();
-            let workers = (pool.workers() + 1).min(selected.len()).min(8);
-            let chunk_len = selected.len().div_ceil(workers);
-            let task_id = task.id;
-            let costs = &costs;
-            let mut computed: Vec<Vec<(usize, Prediction)>> = Vec::new();
-            computed.resize_with(selected.len().div_ceil(chunk_len), Vec::new);
-            pool.scope(|scope| {
-                for (chunk, out) in selected.chunks_mut(chunk_len).zip(computed.iter_mut()) {
-                    scope.spawn(move || {
-                        for (slot, trace, state) in chunk.iter_mut() {
-                            let c = costs[*slot].expect("selected implies solvable");
-                            out.push((
-                                *slot,
-                                state.predict(trace, now, task_id, c, mode, completion_only),
-                            ));
-                        }
-                    });
-                }
-            });
-            // Deterministic reduction: every prediction goes to the slot of
-            // its candidate, regardless of which worker computed it.
-            for batch in computed {
-                for (slot, p) in batch {
-                    results[slot] = Some(p);
-                }
-            }
-        }
-        // Back-fill duplicate candidates (only the last occurrence was
-        // evaluated; queries are pure, so the result is shared).
-        for slot in 0..candidates.len() {
-            if results[slot].is_none() && costs[slot].is_some() {
-                let canonical = slot_of[candidates[slot].index()];
-                results[slot] = results[canonical].clone();
-            }
-        }
-        results
+            .map(|&s| self.predict(now, s, task))
+            .collect()
     }
 
     /// Records that `task` has been allocated to `server` (Figs. 2–4, last
@@ -1356,11 +1230,11 @@ mod tests {
         }
     }
 
-    /// `predict_all` must agree with per-candidate `predict` even when the
-    /// candidate set and the load are big enough to trigger the scoped-
-    /// thread fan-out (16 servers × 70 active tasks ≫ the thresholds).
+    /// The `predict_all` batch spec agrees with the clone-and-drain
+    /// reference over a wide candidate list on heavily loaded traces
+    /// (16 servers × 70 active tasks).
     #[test]
-    fn predict_all_parallel_path_matches_serial() {
+    fn predict_all_matches_reference_on_loaded_traces() {
         let n_servers = 16usize;
         let mut table = CostTable::new(n_servers);
         table.add_problem(
@@ -1531,55 +1405,8 @@ mod tests {
         assert_eq!(s2.prefix_hits, s1.prefix_hits, "no stale prefix resume");
     }
 
-    /// The forced-pool stage-2 scatter must answer bit-identically to the
-    /// forced-serial path — the equality step the CI job runs by name.
-    #[test]
-    fn forced_parallel_stage2_matches_forced_serial() {
-        let n_servers = 12usize;
-        let mut table = CostTable::new(n_servers);
-        table.add_problem(
-            Problem::new("p", 0.5, 0.2, 0.0),
-            (0..n_servers)
-                .map(|s| Some(PhaseCosts::new(0.3, 15.0 + s as f64, 0.1)))
-                .collect(),
-        );
-        let build = || {
-            let mut htm = Htm::new(table.clone(), SyncPolicy::None);
-            let mut id = 0u64;
-            for s in 0..n_servers as u32 {
-                for k in 0..9 {
-                    let tk = TaskInstance::new(
-                        TaskId(id),
-                        cas_platform::ProblemId(0),
-                        t(k as f64 * 0.5),
-                    );
-                    htm.commit(tk.arrival, ServerId(s), &tk);
-                    id += 1;
-                }
-            }
-            htm
-        };
-        let mut parallel = build();
-        parallel.set_parallel_stage2(Some(true));
-        let mut serial = build();
-        serial.set_parallel_stage2(Some(false));
-        let candidates: Vec<ServerId> = (0..n_servers as u32).map(ServerId).collect();
-        for (k, now) in [10.0, 10.0, 30.0].into_iter().enumerate() {
-            let probe = task(700_000 + k as u64, now);
-            let a = parallel.predict_all(t(now), &probe, &candidates);
-            let b = serial.predict_all(t(now), &probe, &candidates);
-            assert_eq!(a, b, "scatter changed an answer at now={now}");
-        }
-        // Both sides agree with the clone-and-drain reference too.
-        let probe = task(800_000, 40.0);
-        let batch = parallel.predict_all(t(40.0), &probe, &candidates);
-        for (s, got) in candidates.iter().zip(&batch) {
-            let expected = serial.predict_reference(t(40.0), *s, &probe);
-            assert_eq!(got.as_ref(), expected.as_ref(), "server {s}");
-        }
-    }
-
-    /// Duplicate candidates are evaluated once and back-filled.
+    /// Unsolvable candidates answer `None`; a duplicate candidate answers
+    /// the same prediction again.
     #[test]
     fn predict_all_handles_duplicates_and_unsolvable() {
         let mut c = CostTable::new(2);

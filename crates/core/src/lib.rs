@@ -61,13 +61,12 @@
 //!    this directly after every mutation.
 //! 5. **Fast ≡ Full.** Under [`htm::Stage2Mode::Fast`] (the default) the
 //!    drain engine truncates speculative drains at the probe's completion
-//!    (completion-only heuristics), resumes a shared baseline-prefix
-//!    cursor saved at event boundaries, and scatters batches across the
-//!    worker pool. All three are bit-identity-preserving by construction
-//!    — truncation cuts only the tail after the probe's entry, the prefix
-//!    snapshot is taken at the last processed event (the only resumable
-//!    point in float arithmetic), and the parallel reduce is slot-indexed
-//!    — and the differential proptests drive Fast and Full
+//!    (completion-only heuristics) and resumes a shared baseline-prefix
+//!    cursor saved at event boundaries. Both are bit-identity-preserving
+//!    by construction — truncation cuts only the tail after the probe's
+//!    entry, and the prefix snapshot is taken at the last processed event
+//!    (the only resumable point in float arithmetic) — and the
+//!    differential proptests drive Fast and Full
 //!    ([`htm::Stage2Mode::Full`], the pre-optimisation engine kept as the
 //!    executable spec) through arbitrary interleavings.
 

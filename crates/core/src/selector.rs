@@ -12,8 +12,7 @@
 //!    the agent's believed in-flight count — no HTM query, no O(n)
 //!    platform rescan);
 //! 2. the [`Heuristic`](crate::heuristics::Heuristic) runs its HTM
-//!    predictions (still batched through `predict_all`) on the shortlist
-//!    only.
+//!    predictions (one per candidate) on the shortlist only.
 //!
 //! Three backends ship:
 //!

@@ -1,20 +1,19 @@
 //! The what-if query surface heuristics schedule against.
 //!
 //! Every HTM-based heuristic asks three questions at decision time:
-//! *what if* the task ran on a candidate (one prediction per candidate,
-//! batched), *what if* it ran on some server outside the shortlist (a
-//! wrapper heuristic restoring a wider list), and *how much memory* does
-//! the model believe a server holds right now. [`WhatIf`] is exactly that
+//! *what if* the task ran on a candidate (one prediction per candidate),
+//! *what if* it ran on some server outside the shortlist (a wrapper
+//! heuristic restoring a wider list), and *how much memory* does the
+//! model believe a server holds right now. [`WhatIf`] is exactly that
 //! surface, object-safe so a [`SchedView`](crate::heuristics::SchedView)
 //! can be built over either:
 //!
 //! * one [`Htm`] — the single-agent configuration, and the executable
 //!   spec of everything below, or
 //! * a **shard federation** (`cas-middleware`'s router): per-shard HTMs,
-//!   with each query routed to the shard owning the server and batched
-//!   queries dispatched per shard. The heuristics cannot tell the
-//!   difference — which is the point: the paper's policies run unchanged
-//!   on a partitioned farm.
+//!   with each query routed to the shard owning the server. The
+//!   heuristics cannot tell the difference — which is the point: the
+//!   paper's policies run unchanged on a partitioned farm.
 //!
 //! Implementations must answer in terms of **global** server ids; a
 //! federated backend translates at its boundary.
@@ -58,14 +57,26 @@ pub trait WhatIf {
     }
 
     /// One what-if query per candidate in a single batch; `results[k]`
-    /// corresponds to `candidates[k]`. Must equal calling
-    /// [`WhatIf::predict`] per candidate.
+    /// corresponds to `candidates[k]`. Defined as [`WhatIf::predict`] per
+    /// candidate, in order, on the calling thread.
+    ///
+    /// Decisions do not batch: they write each answer in place through
+    /// [`WhatIf::predict_into`]. This allocating batch is kept as the
+    /// executable spec that `SchedView::with_batch_predict` replays. It
+    /// used to fan long lists over the worker pool (per shard in a
+    /// federation); on a 2-core host that per-decision pool scope cost
+    /// more than the ~25–40 µs of drains it split, so it was removed.
     fn predict_all(
         &mut self,
         now: SimTime,
         task: &TaskInstance,
         candidates: &[ServerId],
-    ) -> Vec<Option<Prediction>>;
+    ) -> Vec<Option<Prediction>> {
+        candidates
+            .iter()
+            .map(|&s| self.predict(now, s, task))
+            .collect()
+    }
 
     /// The model's estimate of `server`'s resident memory at `now`, MB.
     fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64;
@@ -89,15 +100,6 @@ impl WhatIf for Htm {
         out: &mut Prediction,
     ) -> bool {
         Htm::predict_into(self, now, server, task, out)
-    }
-
-    fn predict_all(
-        &mut self,
-        now: SimTime,
-        task: &TaskInstance,
-        candidates: &[ServerId],
-    ) -> Vec<Option<Prediction>> {
-        Htm::predict_all(self, now, task, candidates)
     }
 
     fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64 {

@@ -110,6 +110,34 @@ impl FaultTolerance {
     }
 }
 
+/// Why an [`ExperimentConfig`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// A housekeeping period (`field`) is zero, negative or not finite.
+    /// A period that does not advance simulated time would make the lazy
+    /// load book replay report instants forever, and a NaN or infinite
+    /// one panics when converted to a simulated instant.
+    BadPeriod {
+        /// The offending [`ExperimentConfig`] field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::BadPeriod { field, value } => write!(
+                f,
+                "{field} must be a finite number of seconds > 0, got {value}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// All knobs of one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
@@ -134,9 +162,8 @@ pub struct ExperimentConfig {
     pub rankings: RankingsBackend,
     /// Which stage-2 drain engine answers what-if queries
     /// (`--stage2 full|fast`, default fast): truncated prefix-sharing
-    /// drains with the parallel scatter, or the pre-optimisation
-    /// engine kept as the executable spec the fast path is
-    /// differentially proven bit-identical to.
+    /// drains, or the pre-optimisation engine kept as the executable
+    /// spec the fast path is differentially proven bit-identical to.
     pub stage2: Stage2Mode,
     /// Lazy federation merge (`--skyline on|off`, default on): the router
     /// visits shards in skyline order and skips shards whose best stage-1
@@ -380,6 +407,23 @@ impl ExperimentConfig {
         self.admission_capacity > 0
     }
 
+    /// Checks that the configuration can run: both housekeeping periods
+    /// (`load_report_period`, `noise_redraw_period`) must be finite and
+    /// positive. The CLI reports the error; the `run_*` entry points and
+    /// [`GridWorld::new`](crate::GridWorld::new) refuse to build a world
+    /// that would hang or panic mid-run.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (field, value) in [
+            ("load_report_period", self.load_report_period),
+            ("noise_redraw_period", self.noise_redraw_period),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(ConfigError::BadPeriod { field, value });
+            }
+        }
+        Ok(())
+    }
+
     /// The churn model this configuration describes (disabled when
     /// `mtbf` is infinite).
     pub fn churn_model(&self) -> cas_workload::ChurnModel {
@@ -491,6 +535,45 @@ mod tests {
         assert_eq!(c.admission_capacity, 4);
         assert_eq!(c.admission_buffer, 32);
         assert_eq!(c.admission_deadline, 120.0);
+    }
+
+    /// Zero, negative and non-finite housekeeping periods are typed
+    /// errors naming the field, never a hang or a mid-run panic.
+    #[test]
+    fn validate_rejects_bad_housekeeping_periods() {
+        assert_eq!(
+            ExperimentConfig::paper(HeuristicKind::Msf, 1).validate(),
+            Ok(())
+        );
+        assert_eq!(
+            ExperimentConfig::ideal(HeuristicKind::Msf, 1).validate(),
+            Ok(())
+        );
+        for bad in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = ExperimentConfig::paper(HeuristicKind::Hmct, 1);
+            c.load_report_period = bad;
+            let err = c.validate().unwrap_err();
+            assert!(
+                matches!(err, ConfigError::BadPeriod { field: "load_report_period", value }
+                    if value.to_bits() == bad.to_bits()),
+                "{bad}: {err:?}"
+            );
+            assert!(err.to_string().contains("load_report_period"), "{err}");
+            let mut c = ExperimentConfig::paper(HeuristicKind::Hmct, 1);
+            c.noise_redraw_period = bad;
+            let err = c.validate().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ConfigError::BadPeriod {
+                        field: "noise_redraw_period",
+                        ..
+                    }
+                ),
+                "{bad}: {err:?}"
+            );
+            assert!(err.to_string().contains("noise_redraw_period"), "{err}");
+        }
     }
 
     #[test]

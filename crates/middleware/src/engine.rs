@@ -344,12 +344,20 @@ pub struct GridWorld {
 impl GridWorld {
     /// Builds the world. `tasks` must be sorted by arrival (metatask
     /// generators produce them that way).
+    ///
+    /// # Panics
+    /// Panics with the [`ConfigError`](crate::ConfigError) when
+    /// [`ExperimentConfig::validate`] rejects `cfg`, before any event
+    /// runs, instead of hanging or panicking mid-run.
     pub fn new(
         cfg: ExperimentConfig,
         costs: CostTable,
         server_specs: Vec<ServerSpec>,
         tasks: Vec<TaskInstance>,
     ) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid experiment config: {e}");
+        }
         assert_eq!(
             costs.n_servers(),
             server_specs.len(),
@@ -497,8 +505,8 @@ impl GridWorld {
         &self.agent
     }
 
-    /// Mutable agent access (tests force the stage-2 parallel scatter on
-    /// or off through it).
+    /// Mutable agent access (tests switch the agent to the batch stage-2
+    /// spec through it).
     pub fn agent_mut(&mut self) -> &mut AgentRouter {
         &mut self.agent
     }
@@ -1716,6 +1724,10 @@ fn run_world(world: GridWorld) -> GridWorld {
 }
 
 /// Runs one experiment to completion and returns the per-task records.
+///
+/// # Panics
+/// Panics when `cfg` fails [`ExperimentConfig::validate`] (see
+/// [`GridWorld::new`]).
 pub fn run_experiment(
     cfg: ExperimentConfig,
     costs: CostTable,
@@ -1729,6 +1741,7 @@ pub fn run_experiment(
 /// returns the records plus the admission observability surface: the
 /// gate's counters and the per-task buffered seconds
 /// (`cas_metrics::per_class_slo` consumes records + users + waits).
+/// Panics like [`run_experiment`] on an invalid `cfg`.
 pub fn run_experiment_with_users(
     cfg: ExperimentConfig,
     costs: CostTable,
@@ -2344,31 +2357,75 @@ mod tests {
         assert!(msf.prefix_hits > 0, "{msf:?}");
     }
 
-    /// The stage-2 parallel scatter, driven end to end through the
-    /// router: a campaign with the pool arm forced **on** is record-equal
-    /// to one with it forced **off**, wide exhaustive shortlists keeping
-    /// the batch path busy. (CI runs this by name on a multi-core
-    /// runner; on a single-core host the pool scope degenerates to the
-    /// caller draining every job, which still exercises the scatter
-    /// code path.)
+    /// A zero, negative or non-finite housekeeping period stops the run
+    /// at build time with the typed error's message, where it used to
+    /// hang or panic mid-run.
     #[test]
-    fn forced_parallel_stage2_campaign_matches_serial() {
-        let (costs, servers) = six_setup();
-        let tasks = six_tasks(30);
-        let run = |force: bool| {
-            let cfg = ExperimentConfig::paper(HeuristicKind::Msf, 31)
-                .with_shards(Sharding::Federated { shards: 2 });
+    fn bad_housekeeping_periods_are_refused_before_the_run() {
+        let (costs, servers) = mini_setup();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for field in ["load_report_period", "noise_redraw_period"] {
+                let mut cfg = ExperimentConfig::paper(HeuristicKind::Msf, 3);
+                match field {
+                    "load_report_period" => cfg.load_report_period = bad,
+                    _ => cfg.noise_redraw_period = bad,
+                }
+                let (costs, servers) = (costs.clone(), servers.clone());
+                let err = std::panic::catch_unwind(move || {
+                    run_experiment(cfg, costs, servers, mini_tasks(&[0.0, 5.0]))
+                })
+                .expect_err("an invalid config must not run");
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(msg.contains(field), "{field} = {bad}: {msg:?}");
+            }
+        }
+    }
+
+    /// Every shortlist, however wide, takes the direct per-candidate
+    /// `predict_into` stage 2. Past 16 candidates it used to batch
+    /// through `predict_all` (pool-scattered on multi-core hosts), so
+    /// this pins the wide direct path against that batch spec: whole
+    /// campaigns with 40- and 24-wide shortlists are record-equal to the
+    /// same campaigns forced through `predict_all`, for every HTM-based
+    /// heuristic, on the single agent and on a 4-shard federation. CI
+    /// runs it by name.
+    #[test]
+    fn wide_shortlist_direct_stage2_matches_batch_spec() {
+        let (costs, servers) = farm_setup(40);
+        assert!(costs.solvers(cas_platform::ProblemId(0)).len() > 16);
+        let tasks = six_tasks(40);
+        let run = |cfg: ExperimentConfig, batch: bool| {
             let mut world = GridWorld::new(cfg, costs.clone(), servers.clone(), tasks.clone());
-            world.agent_mut().set_parallel_stage2(Some(force));
-            let mut sim = cas_sim::Simulation::new(world);
-            sim.run_to_completion();
-            sim.into_world().records().to_vec()
+            world.agent_mut().set_batch_predict(batch);
+            run_world(world).records
         };
-        assert_eq!(
-            run(true),
-            run(false),
-            "forced-parallel stage 2 diverged from forced-serial"
-        );
+        let arms = [
+            (cas_core::SelectorKind::Exhaustive, Sharding::Single),
+            (
+                cas_core::SelectorKind::Exhaustive,
+                Sharding::Federated { shards: 4 },
+            ),
+            (cas_core::SelectorKind::TopK { k: 24 }, Sharding::Single),
+        ];
+        for kind in [
+            HeuristicKind::Hmct,
+            HeuristicKind::Mp,
+            HeuristicKind::Msf,
+            HeuristicKind::Mni,
+        ] {
+            for (selector, shards) in arms {
+                let cfg = ExperimentConfig::paper(kind, 17)
+                    .with_selector(selector)
+                    .with_shards(shards);
+                let direct = run(cfg, false);
+                assert!(direct.iter().any(|r| r.is_completed()), "{kind:?}");
+                assert_eq!(
+                    direct,
+                    run(cfg, true),
+                    "{kind:?} / {selector:?} / {shards:?}: direct stage 2 diverged from the batch spec"
+                );
+            }
+        }
     }
 
     /// Flat and BTree rankings stay bit-identical through the full

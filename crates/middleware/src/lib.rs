@@ -33,7 +33,7 @@ pub mod runner;
 pub mod shard;
 pub mod validate;
 
-pub use config::{ExperimentConfig, FaultTolerance, Sharding};
+pub use config::{ConfigError, ExperimentConfig, FaultTolerance, Sharding};
 pub use engine::{
     run_experiment, run_experiment_with_users, AdmissionStats, ChurnStats, GridWorld,
 };

@@ -25,9 +25,10 @@
 //!    global id, the order the heuristics' tie-breaks require.
 //! 3. **Stage 2, gather**: the heuristic runs unchanged over a
 //!    [`SchedView`] whose [`WhatIf`] backend routes each what-if query
-//!    to the owning shard and dispatches batched `predict_all` calls
-//!    per shard (slot-indexed reduction, bit-identical regardless of
-//!    worker count).
+//!    to the owning shard, serially, one candidate at a time. (A
+//!    per-shard pool fan-out of batched queries once lived here; on a
+//!    2-core host its per-decision scope cost more than the drains it
+//!    split, so it was removed.)
 //!
 //! Commit/retract/complete hooks route to the owning shard **only**, so
 //! model repair and index re-ranking cost stops scaling with farm size.
@@ -56,22 +57,6 @@ use cas_platform::{
 };
 use cas_sim::{prof, RngStream, SimTime};
 use std::collections::HashMap;
-
-/// One per-shard stage-2 batch job: the shard, the shard-local candidate
-/// ids, and the (disjoint) slice of the result vector its predictions
-/// land in.
-type BatchJob<'a> = (
-    &'a mut ShardEngine,
-    Vec<ServerId>,
-    &'a mut [Option<Prediction>],
-);
-
-/// Per-shard candidate runs at most this long answer through per-candidate
-/// [`Htm::predict`] instead of [`Htm::predict_all`]: the batch path pays an
-/// O(shard-width) slot map per call, which a federation exists to avoid —
-/// and the two paths are bit-identical (the batch is defined as, and
-/// proptested against, per-candidate prediction).
-const SMALL_RUN_MAX: usize = 16;
 
 /// One shard's complete decision state: the HTM, the stage-1 index and
 /// the stage-1 selector for a contiguous block of the farm, all built
@@ -404,9 +389,6 @@ pub struct AgentRouter {
     /// reads perturbations, letting fast-mode drains truncate at the
     /// probe's completion. Remembered across rebuilds like `stage2`.
     completion_only: bool,
-    /// Forced on/off override for the stage-2 parallel scatter inside
-    /// each shard HTM (tests drive both arms on any host).
-    parallel_stage2: Option<bool>,
     /// Model-op history for rebalance replay. Recorded only when
     /// [`AgentRouter::with_history`] turned it on — the engine enables
     /// it exactly when churn can trigger a rebalance.
@@ -473,7 +455,6 @@ impl AgentRouter {
             sync,
             stage2: Stage2Mode::default(),
             completion_only: false,
-            parallel_stage2: None,
             record_history: false,
             history: Vec::new(),
         }
@@ -486,7 +467,6 @@ impl AgentRouter {
     fn apply_stage2(&self, e: &mut ShardEngine) {
         e.htm.set_stage2_mode(self.stage2);
         e.htm.set_completion_only(self.completion_only);
-        e.htm.set_parallel_stage2(self.parallel_stage2);
     }
 
     /// Turns on model-op history recording (off by default): every
@@ -518,6 +498,12 @@ impl AgentRouter {
     pub fn with_batch_predict(mut self, batch_only: bool) -> Self {
         self.batch_predict = batch_only;
         self
+    }
+
+    /// [`Self::with_batch_predict`] on a built router (a world's agent).
+    #[cfg(test)]
+    pub(crate) fn set_batch_predict(&mut self, batch_only: bool) {
+        self.batch_predict = batch_only;
     }
 
     /// Toggles the lazy skyline merge (on by default). Off replays the
@@ -578,16 +564,6 @@ impl AgentRouter {
             shard.htm.set_completion_only(completion_only);
         }
         self
-    }
-
-    /// Forces the stage-2 parallel scatter inside every shard HTM on or
-    /// off (`None` restores the automatic worker-count gate). Tests use
-    /// this to prove the scatter's determinism on any host.
-    pub fn set_parallel_stage2(&mut self, force: Option<bool>) {
-        self.parallel_stage2 = force;
-        for shard in &mut self.shards {
-            shard.htm.set_parallel_stage2(force);
-        }
     }
 
     /// Aggregated stage-2 drain counters across every shard HTM: drains
@@ -1367,9 +1343,7 @@ impl AgentRouter {
 }
 
 /// The [`WhatIf`] backend over a federation: queries speak global ids
-/// and are routed to the owning shard; batched queries dispatch one
-/// `predict_all` per shard run, fanned over the pool when it pays, with
-/// every prediction landing in its candidate's slot.
+/// and are routed to the owning shard, one candidate at a time.
 struct FederatedWhatIf<'a> {
     map: &'a ShardMap,
     shards: &'a mut [ShardEngine],
@@ -1397,96 +1371,6 @@ impl WhatIf for FederatedWhatIf<'_> {
         let owner = self.map.owner(server);
         let local = self.map.to_local(owner, server);
         self.shards[owner].htm.predict_into(now, local, task, out)
-    }
-
-    fn predict_all(
-        &mut self,
-        now: SimTime,
-        task: &TaskInstance,
-        candidates: &[ServerId],
-    ) -> Vec<Option<Prediction>> {
-        let mut results: Vec<Option<Prediction>> = vec![None; candidates.len()];
-        // Split the candidate list into runs of consecutive same-owner
-        // entries. The router emits candidates in ascending global id, so
-        // there is exactly one run per shard touched; any other order
-        // (a wrapper heuristic's widened list) still groups correctly,
-        // just into more runs.
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new(); // (owner, from, to)
-        let mut i = 0;
-        while i < candidates.len() {
-            let owner = self.map.owner(candidates[i]);
-            let mut j = i + 1;
-            while j < candidates.len() && self.map.owner(candidates[j]) == owner {
-                j += 1;
-            }
-            runs.push((owner, i, j));
-            i = j;
-        }
-        let pool = cas_sim::pool::global();
-        let ascending_owners = runs.windows(2).all(|w| w[0].0 < w[1].0);
-        if runs.len() > 1 && pool.workers() > 1 && ascending_owners {
-            // Fan one batch per shard over the pool. Owners ascend, so
-            // shards and result slots split into disjoint `&mut` pieces;
-            // each prediction lands in its candidate's slot and the
-            // reduction is the (already-ordered) results vector itself.
-            let mut jobs: Vec<BatchJob<'_>> = Vec::with_capacity(runs.len());
-            let mut shards_rest: &mut [ShardEngine] = self.shards;
-            let mut shards_off = 0usize;
-            let mut results_rest: &mut [Option<Prediction>] = &mut results;
-            let mut results_off = 0usize;
-            for &(owner, from, to) in &runs {
-                let (_, tail) = shards_rest.split_at_mut(owner - shards_off);
-                let (shard, tail) = tail.split_first_mut().expect("owner in range");
-                shards_rest = tail;
-                shards_off = owner + 1;
-                let (_, tail) = results_rest.split_at_mut(from - results_off);
-                let (out, tail) = tail.split_at_mut(to - from);
-                results_rest = tail;
-                results_off = to;
-                let locals: Vec<ServerId> = candidates[from..to]
-                    .iter()
-                    .map(|&s| self.map.to_local(owner, s))
-                    .collect();
-                jobs.push((shard, locals, out));
-            }
-            pool.scope(|scope| {
-                for (shard, locals, out) in jobs {
-                    scope.spawn(move || {
-                        let preds = shard.htm.predict_all(now, task, &locals);
-                        for (slot, p) in out.iter_mut().zip(preds) {
-                            *slot = p;
-                        }
-                    });
-                }
-            });
-        } else {
-            let mut locals: Vec<ServerId> = Vec::new();
-            for &(owner, from, to) in &runs {
-                let shard = &mut self.shards[owner];
-                if to - from <= SMALL_RUN_MAX {
-                    // Short run: per-candidate queries. `predict` is pure
-                    // O(drain) — no per-call slot map over the shard's
-                    // state table — and bit-identical to the batch path
-                    // (both run the same cached speculative drain).
-                    for (slot, &s) in results[from..to].iter_mut().zip(&candidates[from..to]) {
-                        let local = self.map.to_local(owner, s);
-                        *slot = shard.htm.predict(now, local, task);
-                    }
-                } else {
-                    locals.clear();
-                    locals.extend(
-                        candidates[from..to]
-                            .iter()
-                            .map(|&s| self.map.to_local(owner, s)),
-                    );
-                    let preds = shard.htm.predict_all(now, task, &locals);
-                    for (slot, p) in results[from..to].iter_mut().zip(preds) {
-                        *slot = p;
-                    }
-                }
-            }
-        }
-        results
     }
 
     fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64 {
@@ -1575,7 +1459,6 @@ mod skyline_edge {
         .with_history(true)
         .with_stage2(Stage2Mode::Full)
         .with_completion_only(true);
-        router.set_parallel_stage2(Some(true));
         for i in 0..4u64 {
             let task = TaskInstance::new(TaskId(i), ProblemId(0), SimTime::from_secs(i as f64));
             router.on_commit(task.arrival, ServerId((i % 6) as u32), &task, 10.0);

@@ -68,12 +68,12 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(|n| n.get())
 }
 
-/// A 12-server farm, one problem solvable everywhere with spread costs.
-fn farm() -> CostTable {
-    let mut costs = CostTable::new(12);
+/// An `n`-server farm, one problem solvable everywhere with spread costs.
+fn farm(n: usize) -> CostTable {
+    let mut costs = CostTable::new(n);
     costs.add_problem(
         Problem::new("p", 1.0, 0.5, 0.0),
-        (0..12)
+        (0..n)
             .map(|s| Some(PhaseCosts::new(0.4, 10.0 + 3.0 * s as f64, 0.4)))
             .collect(),
     );
@@ -84,29 +84,36 @@ fn task(id: u64, at: f64) -> TaskInstance {
     TaskInstance::new(TaskId(id), ProblemId(0), SimTime::from_secs(at))
 }
 
-/// The steady-state decision loop — stage-1 shortlist walk, stage-2
-/// what-if queries through the memo, argmin — allocates nothing once
-/// its reusable buffers are warm.
-#[test]
-fn steady_state_decisions_allocate_nothing() {
-    let costs = farm();
-    let reports: Vec<LoadReport> = (0..12).map(|i| LoadReport::initial(ServerId(i))).collect();
-    let server_mem = vec![f64::MAX; 12];
+/// Loads an `n`-server farm, warms a router running `kind` over
+/// `selector` until every reusable buffer is grown, then counts the
+/// allocations of 300 further decisions. Returns the router for
+/// follow-up checks.
+fn steady_state_allocations(
+    n: usize,
+    selector: SelectorKind,
+    kind: HeuristicKind,
+) -> (u64, AgentRouter) {
+    let costs = farm(n);
+    let reports: Vec<LoadReport> = (0..n as u32)
+        .map(|i| LoadReport::initial(ServerId(i)))
+        .collect();
+    let server_mem = vec![f64::MAX; n];
     let mut router = AgentRouter::new(
         &costs,
         None,
-        SelectorKind::Exhaustive,
+        selector,
         IndexScoring::RemainingWork,
         SyncPolicy::None,
-    );
-    let mut heuristic = HeuristicKind::Hmct.build();
+    )
+    .with_completion_only(!kind.build().needs_perturbations());
+    let mut heuristic = kind.build();
     let mut tie_rng = RngStream::derive(11, StreamKind::TieBreak);
     let admit = |_: ServerId| true;
 
     // Load the farm so predictions carry real perturbation lists (their
     // buffers must be grown by the warmup, not the measured run): a few
     // long-running commits per server that stay active throughout.
-    for s in 0..12u32 {
+    for s in 0..n as u32 {
         for k in 0..4u64 {
             let t = task(100_000 + u64::from(s) * 8 + k, 0.0);
             router.on_commit(SimTime::ZERO, ServerId(s), &t, 40.0);
@@ -137,13 +144,23 @@ fn steady_state_decisions_allocate_nothing() {
         decide(&mut router, heuristic.as_mut(), i, 0.001 * i as f64);
     }
 
-    // Measured: pure decisions, zero allocations allowed.
+    // Measured: pure decisions.
     let allocs = allocations_in(|| {
         for i in 3000..3300u64 {
             let pick = decide(&mut router, heuristic.as_mut(), i, 3.0 + 0.001 * i as f64);
             assert!(pick.is_some(), "decision {i} found no candidate");
         }
     });
+    (allocs, router)
+}
+
+/// The steady-state decision loop — stage-1 shortlist walk, stage-2
+/// what-if queries through the memo, argmin — allocates nothing once
+/// its reusable buffers are warm.
+#[test]
+fn steady_state_decisions_allocate_nothing() {
+    let (allocs, mut router) =
+        steady_state_allocations(12, SelectorKind::Exhaustive, HeuristicKind::Hmct);
     assert_eq!(
         allocs, 0,
         "steady-state decision loop must not allocate (saw {allocs} allocations over 300 decisions)"
@@ -164,4 +181,21 @@ fn steady_state_decisions_allocate_nothing() {
         allocs, 0,
         "commit-path completion queries must not allocate"
     );
+}
+
+/// A 64-wide shortlist over an 80-server farm takes the same direct
+/// stage-2 loop as a short one — no batch vector, no pool scope — under
+/// both query depths: HMCT (completion-only, truncated drains) and MSF
+/// (full drains that fill the perturbation lists). The counter is
+/// thread-local, so this holds only because stage 2 never leaves the
+/// calling thread.
+#[test]
+fn wide_shortlist_decisions_allocate_nothing() {
+    for kind in [HeuristicKind::Hmct, HeuristicKind::Msf] {
+        let (allocs, _) = steady_state_allocations(80, SelectorKind::TopK { k: 64 }, kind);
+        assert_eq!(
+            allocs, 0,
+            "{kind:?}: 64-wide steady-state decisions must not allocate (saw {allocs} over 300)"
+        );
+    }
 }

@@ -13,7 +13,7 @@
 //!
 //! * global id order equals `(shard, local id)` lexicographic order, so a
 //!   shortlist sorted by global id groups into per-shard runs of
-//!   consecutive candidates (one `predict_all` batch per run), and
+//!   consecutive candidates, and
 //! * the global → local translation is a subtraction, not a table lookup.
 
 use crate::ids::ServerId;

@@ -2,8 +2,8 @@
 //!
 //! One process-wide pool ([`global`]) replaces every hand-rolled
 //! scoped-thread fan-out in the workspace: the experiment runner
-//! (`cas-middleware::runner`) and the HTM's batched prediction fan-out
-//! (`cas-core`'s `Htm::predict_all`) both queue their work here, so a sweep
+//! (`cas-middleware::runner`) and the federation's stage-1 scatter
+//! (`cas-middleware::shard`) both queue their work here, so a sweep
 //! saturates the machine once instead of each layer spawning its own
 //! threads per call.
 //!
@@ -11,7 +11,7 @@
 //! distribute round-robin; a worker pops its own deque from the front and
 //! steals from the back of its siblings when idle. There is no global lock
 //! around job execution — only short per-deque critical sections — so
-//! nested parallelism (a runner job whose experiment calls `predict_all`)
+//! nested parallelism (a runner job whose experiment scatters stage 1)
 //! composes without tearing down or re-spawning threads.
 //!
 //! The API is [`WorkPool::scope`], mirroring `std::thread::scope`: closures
@@ -26,7 +26,8 @@
 //! **Determinism**: the pool schedules jobs in an unspecified order, so
 //! callers that need reproducible output must write results into
 //! per-job slots (disjoint `&mut` borrows) and reduce in index order
-//! afterwards — which is exactly what the runner and `predict_all` do.
+//! afterwards — which is exactly what the runner and the stage-1 scatter
+//! do.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;

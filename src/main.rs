@@ -108,79 +108,82 @@ impl Default for Args {
 }
 
 fn usage() -> &'static str {
-    "casgrid — dynamic heuristics in the client-agent-server model\n\
-     \n\
-     USAGE:\n\
-     casgrid run     [OPTS]   run one experiment, print metrics\n\
-     casgrid compare [OPTS]   run several heuristics on the same metatask\n\
-     casgrid list             list available heuristics and workloads\n\
-     \n\
-     OPTIONS:\n\
-     --workload matmul|wastecpu|synthetic:N|trace:FILE\n\
-                                  workload family        [wastecpu]\n\
-                                  (trace:FILE replays an\n\
-                                  arrival_s,user,duration_s CSV on a\n\
-                                  synthetic farm; `run` only)\n\
-     --heuristic NAME             policy for `run`       [MSF]\n\
-     --heuristics A,B,C           policies for `compare` [MCT,HMCT,MP,MSF]\n\
-     --gap SECONDS                mean inter-arrival gap [20]\n\
-     --burst RATIO                peak/trough ratio of bursty (IPPP\n\
-                                  thinning) arrivals at the same mean\n\
-                                  rate; 1 = homogeneous Poisson  [1]\n\
-     --burst-period SECONDS       burst period           [1800]\n\
-     --selector NAME              stage-1 candidate selection:\n\
-                                  exhaustive | topk[:K] | adaptive[:MIN:MAX]\n\
-                                  [exhaustive]\n\
-     --shards N|auto[:G]          federate the agent across N shards\n\
-                                  (auto picks from the farm size; auto:G\n\
-                                  also sets the skyline tree's shards-\n\
-                                  per-group fan-out; omit for the single-\n\
-                                  agent path; 1 runs the router over one\n\
-                                  shard, bit-identical to the single\n\
-                                  agent)  [single]\n\
-     --skyline on|off             lazy federation merge: visit shards in\n\
-                                  skyline order, skip shards that cannot\n\
-                                  contribute (proven decision-identical;\n\
-                                  off replays the eager full scatter for\n\
-                                  differential runs)     [on]\n\
-     --index-scoring work|count   stage-1 static-index proxy: predicted\n\
-                                  remaining work, or the count-based\n\
-                                  baseline              [work]\n\
-     --rankings flat|btree        stage-1 ranking storage: the cache-\n\
-                                  friendly flat ladder, or the BTree\n\
-                                  executable spec (bit-identical\n\
-                                  decisions, differentially proven)\n\
-                                  [flat]\n\
-     --stage2 fast|full           stage-2 drain engine: truncated\n\
-                                  prefix-sharing drains with the\n\
-                                  parallel scatter, or the full pre-\n\
-                                  optimisation executable spec (bit-\n\
-                                  identical decisions, differentially\n\
-                                  proven)                [fast]\n\
-     --profile                    print the always-on phase profiler's\n\
-                                  per-phase wall-time table after the\n\
-                                  run (merged across the pool's\n\
-                                  parallel replications)\n\
-     --mtbf SECONDS               mean time between failures per server\n\
-                                  (exponential); \"inf\" freezes the farm\n\
-                                  [inf]\n\
-     --mttr SECONDS               mean time to repair a crashed server\n\
-                                  (exponential)          [60]\n\
-     --churn-seed N               fault-schedule seed, independent of\n\
-                                  --seed                 [0]\n\
-     --admission CAP:BUF:DEADLINE admission backpressure: at most CAP\n\
-                                  tasks past the gate, BUF buffered\n\
-                                  behind it, each at most DEADLINE\n\
-                                  seconds (\"inf\" = wait forever)\n\
-                                  before being shed; \"off\" disables\n\
-                                  the gate entirely      [off]\n\
-     --tasks N                    metatask size          [500]\n\
-     --seed N                     root seed              [1]\n\
-     --reps N                     replications           [1]\n\
-     --noise SIGMA                speed-noise sigma      [0.03]\n\
-     --format table|csv|json      output format          [table]\n\
-     --no-memory                  disable the memory model\n\
-     --sync                       HTM force-finish synchronisation"
+    // One literal per line: a `\` line continuation would strip the
+    // leading spaces that align the option descriptions.
+    concat!(
+        "casgrid — dynamic heuristics in the client-agent-server model\n",
+        "\n",
+        "USAGE:\n",
+        "casgrid run     [OPTS]   run one experiment, print metrics\n",
+        "casgrid compare [OPTS]   run several heuristics on the same metatask\n",
+        "casgrid list             list available heuristics and workloads\n",
+        "\n",
+        "OPTIONS:\n",
+        "--workload matmul|wastecpu|synthetic:N|trace:FILE\n",
+        "                             workload family        [wastecpu]\n",
+        "                             (trace:FILE replays an\n",
+        "                             arrival_s,user,duration_s CSV on a\n",
+        "                             synthetic farm; `run` only)\n",
+        "--heuristic NAME             policy for `run`       [MSF]\n",
+        "--heuristics A,B,C           policies for `compare` [MCT,HMCT,MP,MSF]\n",
+        "--gap SECONDS                mean inter-arrival gap [20]\n",
+        "--burst RATIO                peak/trough ratio of bursty (IPPP\n",
+        "                             thinning) arrivals at the same mean\n",
+        "                             rate; 1 = homogeneous Poisson  [1]\n",
+        "--burst-period SECONDS       burst period           [1800]\n",
+        "--selector NAME              stage-1 candidate selection:\n",
+        "                             exhaustive | topk[:K] | adaptive[:MIN:MAX]\n",
+        "                             [exhaustive]\n",
+        "--shards N|auto[:G]          federate the agent across N shards\n",
+        "                             (auto picks from the farm size; auto:G\n",
+        "                             also sets the skyline tree's shards-\n",
+        "                             per-group fan-out; omit for the single-\n",
+        "                             agent path; 1 runs the router over one\n",
+        "                             shard, bit-identical to the single\n",
+        "                             agent)  [single]\n",
+        "--skyline on|off             lazy federation merge: visit shards in\n",
+        "                             skyline order, skip shards that cannot\n",
+        "                             contribute (proven decision-identical;\n",
+        "                             off replays the eager full scatter for\n",
+        "                             differential runs)     [on]\n",
+        "--index-scoring work|count   stage-1 static-index proxy: predicted\n",
+        "                             remaining work, or the count-based\n",
+        "                             baseline              [work]\n",
+        "--rankings flat|btree        stage-1 ranking storage: the cache-\n",
+        "                             friendly flat ladder, or the BTree\n",
+        "                             executable spec (bit-identical\n",
+        "                             decisions, differentially proven)\n",
+        "                             [flat]\n",
+        "--stage2 fast|full           stage-2 drain engine: truncated\n",
+        "                             prefix-sharing drains, or the full\n",
+        "                             pre-optimisation executable spec\n",
+        "                             (bit-identical decisions,\n",
+        "                             differentially proven) [fast]\n",
+        "--profile                    print the always-on phase profiler's\n",
+        "                             per-phase wall-time table after the\n",
+        "                             run (merged across the pool's\n",
+        "                             parallel replications)\n",
+        "--mtbf SECONDS               mean time between failures per server\n",
+        "                             (exponential); \"inf\" freezes the farm\n",
+        "                             [inf]\n",
+        "--mttr SECONDS               mean time to repair a crashed server\n",
+        "                             (exponential)          [60]\n",
+        "--churn-seed N               fault-schedule seed, independent of\n",
+        "                             --seed                 [0]\n",
+        "--admission CAP:BUF:DEADLINE admission backpressure: at most CAP\n",
+        "                             tasks past the gate, BUF buffered\n",
+        "                             behind it, each at most DEADLINE\n",
+        "                             seconds (\"inf\" = wait forever)\n",
+        "                             before being shed; \"off\" disables\n",
+        "                             the gate entirely      [off]\n",
+        "--tasks N                    metatask size          [500]\n",
+        "--seed N                     root seed              [1]\n",
+        "--reps N                     replications           [1]\n",
+        "--noise SIGMA                speed-noise sigma      [0.03]\n",
+        "--format table|csv|json      output format          [table]\n",
+        "--no-memory                  disable the memory model\n",
+        "--sync                       HTM force-finish synchronisation",
+    )
 }
 
 fn parse(argv: &[String]) -> Result<(String, Args), String> {
@@ -438,6 +441,15 @@ fn config_of(args: &Args, kind: HeuristicKind) -> ExperimentConfig {
         .with_admission(cap, buf, deadline)
 }
 
+/// [`config_of`], checked: a configuration the engine would refuse to
+/// build is a one-line error instead of a panic.
+fn valid_config(args: &Args, kind: HeuristicKind) -> Result<ExperimentConfig, String> {
+    let cfg = config_of(args, kind);
+    cfg.validate()
+        .map_err(|e| format!("invalid configuration: {e}"))?;
+    Ok(cfg)
+}
+
 /// The metatask: the paper's homogeneous-Poisson process by default, or
 /// the thinning-sampled bursty process at the same mean rate when
 /// `--burst` exceeds 1.
@@ -484,7 +496,7 @@ fn cmd_run_trace(args: &Args, path: &str, kind: HeuristicKind) -> Result<(), Str
     let compiled = TraceWorkload::default()
         .compile(&mut trace, args.seed)
         .map_err(|e| format!("--workload trace:{path}: {e}"))?;
-    let base = config_of(args, kind);
+    let base = valid_config(args, kind)?;
     let mut runs = Vec::with_capacity(args.reps);
     let mut first_slo: Option<Vec<ClassSlo>> = None;
     for rep in 0..args.reps {
@@ -563,6 +575,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let (costs, servers) = workload_of(args)?;
     let tasks = tasks_of(args, &costs);
     let workloads: Vec<_> = (0..args.reps).map(|_| tasks.clone()).collect();
+    let cfg = valid_config(args, kind)?;
     // `--profile` renders the merged cross-thread view: the runner
     // flushes each replication's spans into the process-wide ledger
     // from whichever pool thread ran it, so the replications fan out
@@ -571,14 +584,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         prof::reset();
         prof::reset_merged();
         let t0 = Instant::now();
-        let runs = run_replications(config_of(args, kind), &costs, &servers, &workloads);
+        let runs = run_replications(cfg, &costs, &servers, &workloads);
         let wall_s = t0.elapsed().as_secs_f64();
         (runs, Some((prof::merged_snapshot(), wall_s)))
     } else {
-        (
-            run_replications(config_of(args, kind), &costs, &servers, &workloads),
-            None,
-        )
+        (run_replications(cfg, &costs, &servers, &workloads), None)
     };
     let mut table = Table::new(
         format!(
@@ -633,7 +643,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     let tasks = tasks_of(args, &costs);
     let workloads: Vec<_> = (0..args.reps).map(|_| tasks.clone()).collect();
     let results = run_heuristic_matrix(
-        config_of(args, kinds[0]),
+        valid_config(args, kinds[0])?,
         &kinds,
         &costs,
         &servers,
@@ -744,6 +754,45 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|x| x.to_string()).collect()
+    }
+
+    /// Every option description in `--help` starts at one column: a
+    /// flag line that fits its field starts the description there, and
+    /// every continuation line is indented to it.
+    #[test]
+    fn help_continuation_lines_align_to_description_column() {
+        const DESC_COL: usize = 29;
+        let options = usage()
+            .split_once("OPTIONS:\n")
+            .expect("usage has an OPTIONS section")
+            .1;
+        let mut continuations = 0;
+        for line in options.lines() {
+            let chars: Vec<char> = line.chars().collect();
+            if line.starts_with("--") {
+                let described_at_col =
+                    chars.len() > DESC_COL && chars[DESC_COL - 1] == ' ' && chars[DESC_COL] != ' ';
+                // A flag spec too long for its field carries no
+                // description on its own line.
+                let spills = !line.contains("  ");
+                assert!(
+                    chars.len() <= DESC_COL || described_at_col || spills,
+                    "flag line misaligned: {line:?}"
+                );
+            } else {
+                let indent = chars.iter().take_while(|&&c| c == ' ').count();
+                assert_eq!(indent, DESC_COL, "continuation line misaligned: {line:?}");
+                continuations += 1;
+            }
+        }
+        assert!(
+            continuations > 10,
+            "only {continuations} continuation lines"
+        );
+        assert!(
+            !usage().contains("parallel scatter"),
+            "stale stage-2 help text"
+        );
     }
 
     #[test]
