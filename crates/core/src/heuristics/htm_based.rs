@@ -10,8 +10,26 @@
 //! | MP     | `Σ_j π(i, j)` (sum of perturbations)        | completion date|
 //! | MSF    | `Σ_j π(i, j) + d(i, n_i+1)` (sum-flow delta)| lowest id      |
 //! | MNI    | number of tasks with `π > 0`                | completion date|
+//!
+//! HMCT and MSF prune: they run
+//! [`SchedView::argmin_bounded`], which visits candidates in order of a
+//! cheap lower bound on the objective and stops draining once the bound
+//! passes the incumbent. The same pick, fewer drains:
+//!
+//! | policy | pruned on                                  |
+//! |--------|--------------------------------------------|
+//! | HMCT   | completion lower bound `LB`                |
+//! | MSF    | `LB − now` (`Σπ ≥ 0`, flow = `f − now`)     |
+//! | MP, MNI| not pruned: every candidate is drained     |
+//!
+//! `LB` is [`Htm::completion_lower_bound`](crate::Htm::completion_lower_bound)
+//! deflated by [`deflate_bound`](crate::htm::deflate_bound). MP's
+//! objective has no useful lower bound (an idle server scores 0), and
+//! MNI's count has none cheaper than a drain. The memory-aware wrappers
+//! (M-HMCT, M-MSF) prune through their inner policy.
 
 use super::{Heuristic, SchedView, TIE_EPS};
+use crate::prediction::Prediction;
 use cas_platform::ServerId;
 
 /// Historical Minimum Completion Time (Fig. 2): MCT's objective computed on
@@ -35,7 +53,7 @@ impl Heuristic for Hmct {
     }
 
     fn select(&mut self, view: &mut SchedView<'_>) -> Option<ServerId> {
-        view.argmin(|v, s| v.predict(s).map(|p| p.completion.as_secs()))
+        view.argmin_bounded(|lb| lb, |p| p.completion.as_secs())
     }
 }
 
@@ -91,7 +109,11 @@ impl Heuristic for Msf {
     }
 
     fn select(&mut self, view: &mut SchedView<'_>) -> Option<ServerId> {
-        view.argmin(|v, s| v.predict(s).map(|p| p.msf_objective()))
+        // `Σπ ≥ 0` (perturbations are clamped at zero) and the flow is
+        // `completion − now`, so a completion bound less `now` bounds the
+        // objective.
+        let now = view.now.as_secs();
+        view.argmin_bounded(|lb| lb - now, Prediction::msf_objective)
     }
 }
 

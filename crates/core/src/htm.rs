@@ -90,6 +90,23 @@
 //! records and drain counts. The scatter was removed; a decision
 //! queries each candidate through [`Htm::predict_into`] instead.
 //!
+//! Whatever the mode, the policies that rank by completion skip most
+//! drains outright:
+//!
+//! * **Bounded argmin.** [`Htm::completion_lower_bound`] bounds a
+//!   probe's completion from the trace state alone, in O(CPU lane):
+//!   `w + c_out + max(now + c_in, t_ref + Σ_j min(r_j, w))`, with `w` the
+//!   probe's compute cost and `r_j` the CPU lane's remaining work at its
+//!   last update `t_ref`. Lanes have capacity 1 and share equally, so
+//!   every job the probe meets in the CPU is served at least
+//!   `min(r_j, w)` before the probe leaves, and the CPU delivers at most
+//!   one unit per second (proof at
+//!   [`ServerTrace::completion_lower_bound`]). HMCT and MSF visit their
+//!   candidates in bound order and stop at the first [`deflate_bound`]ed
+//!   bound above the incumbent
+//!   ([`SchedView::argmin_bounded`](crate::heuristics::SchedView::argmin_bounded)):
+//!   the same pick as draining all of them, with fewer drains.
+//!
 //! [`Htm::predict_reference`] keeps the original clone-and-drain
 //! implementation; the differential proptests below drive both paths
 //! through arbitrary commit/predict/retract/observe interleavings and
@@ -111,6 +128,15 @@ use std::collections::HashMap;
 /// cheaper for the handful of active tasks a campaign-realistic trace
 /// holds, and observably identical.
 const LINEAR_LOOKUP_MAX: usize = 12;
+
+/// Deflates a [`Htm::completion_lower_bound`] by a relative and an
+/// absolute margin of 1e-9, so that float rounding in the drain cannot
+/// land a completion below it: `lb − 1e-9·|lb| − 1e-9`. The
+/// `completion_lower_bound_is_sound` proptest asserts the deflated bound
+/// is `≤` the drained completion as exact f64, in every drain mode.
+pub fn deflate_bound(lb: f64) -> f64 {
+    lb - 1e-9 * lb.abs() - 1e-9
+}
 
 /// How the HTM reacts to completions observed on the real platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -740,6 +766,23 @@ impl Htm {
             out,
         );
         true
+    }
+
+    /// A lower bound, in seconds, on the completion date [`Self::predict`]
+    /// would report for `task` on `server` at `now`, without draining:
+    /// [`ServerTrace::completion_lower_bound`] over the server's cost for
+    /// the task's problem. `None` when the server cannot solve it. Not a
+    /// what-if query: it leaves every counter and cache untouched.
+    /// Deflate it with [`deflate_bound`] before comparing it against a
+    /// drained value.
+    pub fn completion_lower_bound(
+        &self,
+        now: SimTime,
+        server: ServerId,
+        task: &TaskInstance,
+    ) -> Option<f64> {
+        let costs = self.costs.costs(task.problem, server)?;
+        Some(self.traces[server.index()].completion_lower_bound(now, costs))
     }
 
     /// The original clone-and-drain what-if path, kept as the executable
@@ -1532,7 +1575,93 @@ mod proptests {
         Ok(())
     }
 
+    prop_compose! {
+        /// Probe costs whose every phase is zero a quarter of the time.
+        fn arb_probe_costs()(
+            zero in (0u32..4, 0u32..4, 0u32..4),
+            i in 0.0f64..5.0,
+            c in 0.0f64..50.0,
+            o in 0.0f64..5.0,
+        ) -> PhaseCosts {
+            let phase = |flag: u32, x: f64| if flag == 0 { 0.0 } else { x };
+            PhaseCosts::new(phase(zero.0, i), phase(zero.1, c), phase(zero.2, o))
+        }
+    }
+
+    /// One single-server HTM per drain depth — full drains, fast drains,
+    /// and fast completion-only (truncated) drains — with one problem per
+    /// resident row plus the probe's problem last.
+    fn bound_htms(residents: &[PhaseCosts], probe: PhaseCosts) -> [Htm; 3] {
+        let mut table = CostTable::new(1);
+        for (k, c) in residents.iter().chain([&probe]).enumerate() {
+            table.add_problem(Problem::new(format!("p{k}"), 0.0, 0.0, 0.0), vec![Some(*c)]);
+        }
+        let full = {
+            let mut h = Htm::new(table.clone(), SyncPolicy::None);
+            h.set_stage2_mode(Stage2Mode::Full);
+            h
+        };
+        let fast = Htm::new(table.clone(), SyncPolicy::None);
+        let truncated = {
+            let mut h = Htm::new(table, SyncPolicy::None);
+            h.set_completion_only(true);
+            h
+        };
+        [full, fast, truncated]
+    }
+
     proptest! {
+        /// The completion lower bound behind the bounded argmin is sound:
+        /// deflated, it never exceeds the drained completion — compared as
+        /// exact f64, no tolerance — under full, fast and truncated
+        /// completion-only drains, on the resident schedules of
+        /// `fast_drain_bitwise_equals_reference`, at any `now` at or past
+        /// the trace cursor, for probes whose phases may cost zero. On an
+        /// idle server the bound is the completion, within the margin.
+        #[test]
+        fn completion_lower_bound_is_sound(
+            specs in proptest::collection::vec((0.0f64..40.0, arb_costs()), 0..15),
+            probe_costs in arb_probe_costs(),
+            nows in proptest::collection::vec(0.0f64..120.0, 1..6),
+        ) {
+            let mut arrivals = specs;
+            arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            let residents: Vec<PhaseCosts> = arrivals.iter().map(|&(_, c)| c).collect();
+            let mut htms = bound_htms(&residents, probe_costs);
+            let probe_problem = ProblemId(residents.len() as u32);
+            let server = ServerId(0);
+            for htm in &mut htms {
+                for (k, &(arr, _)) in arrivals.iter().enumerate() {
+                    htm.commit(t(arr), server, &TaskInstance::new(TaskId(k as u64), ProblemId(k as u32), t(arr)));
+                }
+            }
+            let mut sorted_nows = nows;
+            sorted_nows.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for (k, now) in sorted_nows.iter().enumerate() {
+                let now = t(now.max(htms[0].trace(server).cursor().as_secs()));
+                let probe = TaskInstance::new(TaskId(1000 + k as u64), probe_problem, now);
+                let lb = htms[0].completion_lower_bound(now, server, &probe).unwrap();
+                let deflated = deflate_bound(lb);
+                for htm in &mut htms {
+                    prop_assert_eq!(htm.completion_lower_bound(now, server, &probe), Some(lb));
+                    let completion = htm.predict(now, server, &probe).unwrap().completion.as_secs();
+                    prop_assert!(
+                        deflated <= completion,
+                        "{:?}: bound {} (deflated {}) above completion {} at now {:?}",
+                        htm.stage2_mode(), lb, deflated, completion, now
+                    );
+                    // Idle: nothing left to share with by `now`, so the
+                    // probe runs its three phases back to back.
+                    if htm.trace(server).drain_schedule().iter().all(|&(_, f)| f <= now) {
+                        prop_assert!(
+                            (completion - lb).abs() <= lb - deflated,
+                            "idle server: bound {} vs completion {}", lb, completion
+                        );
+                    }
+                }
+            }
+        }
+
         /// The generation-cached, scratch-buffer prediction engine agrees
         /// **bit for bit** with the naive clone-and-drain reference over
         /// arbitrary interleavings of commit / predict / retract / observe

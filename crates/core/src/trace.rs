@@ -344,6 +344,38 @@ impl ServerTrace {
         self.jobs.get(&task).map(|j| j.arrival)
     }
 
+    /// A lower bound, in seconds, on the completion date of a probe with
+    /// `costs` inserted at `now` — what a what-if drain would report,
+    /// computed in O(CPU lane) without draining anything.
+    ///
+    /// With `w = costs.compute`, `t_ref` the CPU lane's last update and
+    /// `S = Σ_j min(r_j, w)` over the lane's remaining work `r_j` at
+    /// `t_ref`:
+    ///
+    /// `LB = w + c_out + max(now + c_in, t_ref + S)`.
+    ///
+    /// Each lane has capacity 1 ([`Self::new`]), so a phase of cost `c`
+    /// takes at least `c`: the probe reaches the CPU no earlier than
+    /// `now + c_in`. Under equal sharing, every job still present when
+    /// the probe enters the CPU is served at the probe's rate while both
+    /// run, so it receives `min(remaining, w)` during the probe's stay;
+    /// with what it received since `t_ref`, that is at least
+    /// `min(r_j, w)` (`min(·, w)` is 1-Lipschitz), and a job that left
+    /// earlier received all of `r_j`. The CPU serves at most one unit of
+    /// work per second, so the probe's compute phase ends no earlier
+    /// than `t_ref + S + w`. Later arrivals only add delay, and the
+    /// output phase adds at least `c_out`.
+    ///
+    /// The bound is exact arithmetic; the drain's float rounding can land
+    /// a hair below it, so callers that prune on it deflate it first
+    /// ([`crate::htm::deflate_bound`]).
+    pub fn completion_lower_bound(&self, now: SimTime, costs: PhaseCosts) -> f64 {
+        let w = costs.compute;
+        let t_ref = self.cpu.updated_at().as_secs();
+        let ahead: f64 = self.cpu.entries_iter().map(|(_, r)| r.min(w)).sum();
+        w + costs.output + (now.as_secs() + costs.input).max(t_ref + ahead)
+    }
+
     /// Drains the schedule into `out` through a reusable scratch buffer,
     /// optionally with one hypothetical task inserted — the zero-clone
     /// what-if primitive behind [`crate::Htm`]'s prediction engine.

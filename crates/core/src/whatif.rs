@@ -1,7 +1,8 @@
 //! The what-if query surface heuristics schedule against.
 //!
 //! Every HTM-based heuristic asks three questions at decision time:
-//! *what if* the task ran on a candidate (one prediction per candidate),
+//! *what if* the task ran on a candidate (one prediction per candidate,
+//! or fewer when a cheap completion lower bound rules a candidate out),
 //! *what if* it ran on some server outside the shortlist (a wrapper
 //! heuristic restoring a wider list), and *how much memory* does the
 //! model believe a server holds right now. [`WhatIf`] is exactly that
@@ -78,6 +79,19 @@ pub trait WhatIf {
             .collect()
     }
 
+    /// A lower bound, in seconds, on the completion date
+    /// [`WhatIf::predict`] would report, computed without draining
+    /// ([`Htm::completion_lower_bound`]); `None` when the server cannot
+    /// solve the task's problem. Bounded argmins
+    /// ([`SchedView::argmin_bounded`](crate::heuristics::SchedView::argmin_bounded))
+    /// visit candidates in this order and skip the drains it rules out.
+    fn completion_lower_bound(
+        &self,
+        now: SimTime,
+        server: ServerId,
+        task: &TaskInstance,
+    ) -> Option<f64>;
+
     /// The model's estimate of `server`'s resident memory at `now`, MB.
     fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64;
 }
@@ -100,6 +114,15 @@ impl WhatIf for Htm {
         out: &mut Prediction,
     ) -> bool {
         Htm::predict_into(self, now, server, task, out)
+    }
+
+    fn completion_lower_bound(
+        &self,
+        now: SimTime,
+        server: ServerId,
+        task: &TaskInstance,
+    ) -> Option<f64> {
+        Htm::completion_lower_bound(self, now, server, task)
     }
 
     fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64 {

@@ -113,11 +113,21 @@ impl FaultTolerance {
 /// Why an [`ExperimentConfig`] cannot run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
-    /// A housekeeping period (`field`) is zero, negative or not finite.
-    /// A period that does not advance simulated time would make the lazy
-    /// load book replay report instants forever, and a NaN or infinite
-    /// one panics when converted to a simulated instant.
+    /// A duration that must be finite and positive (`field`) is zero,
+    /// negative or not finite: a housekeeping period, or `mttr` while
+    /// churn is on. A period that does not advance simulated time would
+    /// make the lazy load book replay report instants forever, and a NaN
+    /// or infinite one panics when converted to a simulated instant.
     BadPeriod {
+        /// The offending [`ExperimentConfig`] field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+    /// A duration whose infinity means "never" (`field`) is zero,
+    /// negative or NaN: `mtbf` (∞ turns churn off), or
+    /// `admission_deadline` while admission is on (∞ waits forever).
+    BadDuration {
         /// The offending [`ExperimentConfig`] field.
         field: &'static str,
         /// Its value.
@@ -131,6 +141,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadPeriod { field, value } => write!(
                 f,
                 "{field} must be a finite number of seconds > 0, got {value}"
+            ),
+            ConfigError::BadDuration { field, value } => write!(
+                f,
+                "{field} must be a number of seconds > 0 or inf, got {value}"
             ),
         }
     }
@@ -407,18 +421,35 @@ impl ExperimentConfig {
         self.admission_capacity > 0
     }
 
-    /// Checks that the configuration can run: both housekeeping periods
+    /// Checks that the configuration can run. Both housekeeping periods
     /// (`load_report_period`, `noise_redraw_period`) must be finite and
-    /// positive. The CLI reports the error; the `run_*` entry points and
-    /// [`GridWorld::new`](crate::GridWorld::new) refuse to build a world
-    /// that would hang or panic mid-run.
+    /// positive. `mtbf` must be positive (∞ turns churn off), and while
+    /// churn is on `mttr` must be finite and positive. While admission is
+    /// on, `admission_deadline` must be positive (∞ waits forever). NaN
+    /// is never valid. The CLI reports the error; the `run_*` entry
+    /// points and [`GridWorld::new`](crate::GridWorld::new) refuse to
+    /// build a world that would hang, panic or silently drop a setting.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        for (field, value) in [
-            ("load_report_period", self.load_report_period),
-            ("noise_redraw_period", self.noise_redraw_period),
+        let churn = self.mtbf.is_finite();
+        for (field, value, applies) in [
+            ("load_report_period", self.load_report_period, true),
+            ("noise_redraw_period", self.noise_redraw_period, true),
+            ("mttr", self.mttr, churn),
         ] {
-            if !(value.is_finite() && value > 0.0) {
+            if applies && !(value.is_finite() && value > 0.0) {
                 return Err(ConfigError::BadPeriod { field, value });
+            }
+        }
+        for (field, value, applies) in [
+            ("mtbf", self.mtbf, true),
+            (
+                "admission_deadline",
+                self.admission_deadline,
+                self.admission_enabled(),
+            ),
+        ] {
+            if applies && (value.is_nan() || value <= 0.0) {
+                return Err(ConfigError::BadDuration { field, value });
             }
         }
         Ok(())
@@ -573,6 +604,65 @@ mod tests {
                 "{bad}: {err:?}"
             );
             assert!(err.to_string().contains("noise_redraw_period"), "{err}");
+        }
+    }
+
+    /// Churn and admission durations: 0, -1 and NaN are typed errors
+    /// naming the field; ∞ is valid where it means "never" (`mtbf`,
+    /// `admission_deadline`) and an error where it does not (`mttr` with
+    /// churn on). Fields of a switched-off feature are not checked.
+    #[test]
+    fn validate_rejects_bad_churn_and_admission_durations() {
+        let base = ExperimentConfig::paper(HeuristicKind::Hmct, 1);
+        let churn = base.with_churn(400.0, 60.0);
+        let admission = base.with_admission(4, 16, 30.0);
+        assert_eq!(churn.validate(), Ok(()));
+        assert_eq!(admission.validate(), Ok(()));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let is_bad = |err: ConfigError, field: &str, infinity_ok: bool| match err {
+                ConfigError::BadPeriod { field: f, value } => {
+                    !infinity_ok && f == field && value.to_bits() == bad.to_bits()
+                }
+                ConfigError::BadDuration { field: f, value } => {
+                    infinity_ok && f == field && value.to_bits() == bad.to_bits()
+                }
+            };
+            // mtbf: ∞ is the frozen farm.
+            let c = base.with_churn(bad, 60.0);
+            if bad == f64::INFINITY {
+                assert_eq!(c.validate(), Ok(()));
+            } else {
+                let err = c.validate().unwrap_err();
+                assert!(is_bad(err, "mtbf", true), "mtbf = {bad}: {err:?}");
+                assert!(err.to_string().contains("mtbf"), "{err}");
+            }
+            // mttr: checked only while churn is on, and ∞ is invalid.
+            let err = churn.with_churn(400.0, bad).validate().unwrap_err();
+            assert!(is_bad(err, "mttr", false), "mttr = {bad}: {err:?}");
+            assert!(err.to_string().contains("mttr"), "{err}");
+            let mut off = base;
+            off.mttr = bad;
+            assert_eq!(off.validate(), Ok(()), "mttr = {bad} with churn off");
+            // admission_deadline: ∞ waits forever; checked only while
+            // admission is on.
+            let c = base.with_admission(4, 16, bad);
+            if bad == f64::INFINITY {
+                assert_eq!(c.validate(), Ok(()));
+            } else {
+                let err = c.validate().unwrap_err();
+                assert!(
+                    is_bad(err, "admission_deadline", true),
+                    "admission_deadline = {bad}: {err:?}"
+                );
+                assert!(err.to_string().contains("admission_deadline"), "{err}");
+            }
+            let mut off = base;
+            off.admission_deadline = bad;
+            assert_eq!(
+                off.validate(),
+                Ok(()),
+                "deadline = {bad} with admission off"
+            );
         }
     }
 

@@ -2357,27 +2357,40 @@ mod tests {
         assert!(msf.prefix_hits > 0, "{msf:?}");
     }
 
-    /// A zero, negative or non-finite housekeeping period stops the run
-    /// at build time with the typed error's message, where it used to
-    /// hang or panic mid-run.
+    /// A configuration that cannot mean anything stops the run at build
+    /// time with the typed error's message, naming the field: a zero,
+    /// negative or non-finite housekeeping period (it used to hang or
+    /// panic mid-run), a zero, negative or NaN `mtbf` or
+    /// `admission_deadline`, or a zero, negative, NaN or infinite `mttr`
+    /// under churn. Those used to turn churn off silently, make a NaN
+    /// deadline wait forever, or time a buffered task out at or before
+    /// its arrival.
     #[test]
-    fn bad_housekeeping_periods_are_refused_before_the_run() {
+    fn invalid_configs_are_refused_before_the_run() {
         let (costs, servers) = mini_setup();
+        let base = ExperimentConfig::paper(HeuristicKind::Msf, 3);
+        let mut cases = Vec::new();
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            for field in ["load_report_period", "noise_redraw_period"] {
-                let mut cfg = ExperimentConfig::paper(HeuristicKind::Msf, 3);
-                match field {
-                    "load_report_period" => cfg.load_report_period = bad,
-                    _ => cfg.noise_redraw_period = bad,
-                }
-                let (costs, servers) = (costs.clone(), servers.clone());
-                let err = std::panic::catch_unwind(move || {
-                    run_experiment(cfg, costs, servers, mini_tasks(&[0.0, 5.0]))
-                })
-                .expect_err("an invalid config must not run");
-                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-                assert!(msg.contains(field), "{field} = {bad}: {msg:?}");
+            let mut cfg = base;
+            cfg.load_report_period = bad;
+            cases.push(("load_report_period", cfg));
+            let mut cfg = base;
+            cfg.noise_redraw_period = bad;
+            cases.push(("noise_redraw_period", cfg));
+            cases.push(("mttr", base.with_churn(400.0, bad)));
+            if bad != f64::INFINITY {
+                cases.push(("mtbf", base.with_churn(bad, 60.0)));
+                cases.push(("admission_deadline", base.with_admission(1, 4, bad)));
             }
+        }
+        for (field, cfg) in cases {
+            let (costs, servers) = (costs.clone(), servers.clone());
+            let err = std::panic::catch_unwind(move || {
+                run_experiment(cfg, costs, servers, mini_tasks(&[0.0, 5.0]))
+            })
+            .expect_err("an invalid config must not run");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(field), "{field}: {msg:?}");
         }
     }
 
@@ -2423,6 +2436,79 @@ mod tests {
                     direct,
                     run(cfg, true),
                     "{kind:?} / {selector:?} / {shards:?}: direct stage 2 diverged from the batch spec"
+                );
+            }
+        }
+    }
+
+    /// The bounded stage 2 under exact ties: on a farm of identical
+    /// servers with integer costs and arrivals, many candidates' drained
+    /// objectives are equal to the bit, and their bounds differ only in
+    /// rounding. The pruned argmin must still pick the lowest tied id,
+    /// so every campaign is record-equal to the batch spec's full scan —
+    /// HMCT, MSF and their memory-aware wrappers (which veto servers the
+    /// model believes full), single agent and 4 shards, exhaustive and
+    /// `TopK{k:12}` lists. CI runs it by name.
+    #[test]
+    fn tied_farm_bounded_stage2_matches_batch_spec() {
+        let n = 24;
+        let mut costs = CostTable::new(n);
+        costs.add_problem(
+            Problem::new("p0", 1.0, 0.5, 200.0),
+            (0..n)
+                .map(|_| Some(PhaseCosts::new(1.0, 8.0, 1.0)))
+                .collect(),
+        );
+        costs.add_problem(
+            Problem::new("p1", 1.0, 0.5, 100.0),
+            (0..n)
+                .map(|s| (s % 2 == 0).then(|| PhaseCosts::new(0.0, 20.0, 2.0)))
+                .collect(),
+        );
+        // RAM + swap fits two p0 tasks: the memory veto engages.
+        let servers: Vec<ServerSpec> = (0..n)
+            .map(|s| ServerSpec::new(format!("s{s}"), 500.0, 256.0, 256.0))
+            .collect();
+        // Three arrivals per whole second: same-instant probes and
+        // equal-remaining-work residents make exact ties common.
+        let tasks: Vec<TaskInstance> = (0..150u64)
+            .map(|i| {
+                TaskInstance::new(
+                    TaskId(i),
+                    cas_platform::ProblemId((i % 3 == 2) as u32),
+                    t((i / 3) as f64),
+                )
+            })
+            .collect();
+        let run = |cfg: ExperimentConfig, batch: bool| {
+            let mut world = GridWorld::new(cfg, costs.clone(), servers.clone(), tasks.clone());
+            world.agent_mut().set_batch_predict(batch);
+            run_world(world).records
+        };
+        let arms = [
+            (cas_core::SelectorKind::Exhaustive, Sharding::Single),
+            (
+                cas_core::SelectorKind::Exhaustive,
+                Sharding::Federated { shards: 4 },
+            ),
+            (cas_core::SelectorKind::TopK { k: 12 }, Sharding::Single),
+        ];
+        for kind in [
+            HeuristicKind::Hmct,
+            HeuristicKind::Msf,
+            HeuristicKind::MemHmct,
+            HeuristicKind::MemMsf,
+        ] {
+            for (selector, shards) in arms {
+                let cfg = ExperimentConfig::paper(kind, 29)
+                    .with_selector(selector)
+                    .with_shards(shards);
+                let bounded = run(cfg, false);
+                assert!(bounded.iter().any(|r| r.is_completed()), "{kind:?}");
+                assert_eq!(
+                    bounded,
+                    run(cfg, true),
+                    "{kind:?} / {selector:?} / {shards:?}: bounded stage 2 diverged from the batch spec"
                 );
             }
         }

@@ -1373,6 +1373,19 @@ impl WhatIf for FederatedWhatIf<'_> {
         self.shards[owner].htm.predict_into(now, local, task, out)
     }
 
+    fn completion_lower_bound(
+        &self,
+        now: SimTime,
+        server: ServerId,
+        task: &TaskInstance,
+    ) -> Option<f64> {
+        let owner = self.map.owner(server);
+        let local = self.map.to_local(owner, server);
+        self.shards[owner]
+            .htm
+            .completion_lower_bound(now, local, task)
+    }
+
     fn resident_estimate(&mut self, now: SimTime, server: ServerId) -> f64 {
         let owner = self.map.owner(server);
         let local = self.map.to_local(owner, server);

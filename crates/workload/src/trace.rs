@@ -90,6 +90,11 @@ impl std::error::Error for TraceError {}
 /// and `#` comments are skipped, as is an optional header row (a first
 /// data line whose first field is not a number). Arrivals must lie in
 /// `[0, MAX_ARRIVAL_S]`.
+///
+/// Rows need not be sorted by arrival. The parser keeps them in file
+/// order and [`TraceWorkload::compile`] sorts them, stably: a shuffled
+/// file compiles to the same task instances as the sorted one, and rows
+/// with exactly equal arrivals keep their file order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsvTrace {
     entries: VecDeque<TraceEntry>,
@@ -633,6 +638,39 @@ mod tests {
         assert_eq!(c.ladder.to_vec(), ladder.to_vec());
         assert_eq!(c.tasks, tasks);
         assert!(c.users.iter().all(|&u| u == 0));
+    }
+
+    /// Unsorted rows are accepted: a shuffled CSV compiles to the same
+    /// task instances, user classes and ladder as the sorted one.
+    #[test]
+    fn shuffled_csv_compiles_like_the_sorted_one() {
+        let mut fitted = spec().generate(13);
+        let mut rows = Vec::new();
+        while let Some(e) = fitted.next_entry() {
+            rows.push(e);
+        }
+        let render = |rows: &[TraceEntry]| {
+            let mut csv = String::from("arrival_s,user,duration_s\n");
+            for e in rows {
+                writeln!(csv, "{:?},{},{:?}", e.arrival_s, e.user, e.duration_s).unwrap();
+            }
+            csv
+        };
+        let compile = |csv: &str| {
+            let mut trace = CsvTrace::parse(csv).unwrap();
+            TraceWorkload::default().compile(&mut trace, 13).unwrap()
+        };
+        let sorted = compile(&render(&rows));
+        // A fixed shuffle: odd rows latest-first, then even rows.
+        let shuffled: Vec<TraceEntry> = (rows.iter().skip(1).step_by(2).rev())
+            .chain(rows.iter().step_by(2))
+            .copied()
+            .collect();
+        assert!(shuffled.windows(2).any(|w| w[1].arrival_s < w[0].arrival_s));
+        let from_shuffled = compile(&render(&shuffled));
+        assert_eq!(from_shuffled.tasks, sorted.tasks);
+        assert_eq!(from_shuffled.users, sorted.users);
+        assert_eq!(from_shuffled.ladder, sorted.ladder);
     }
 
     #[test]
