@@ -23,7 +23,10 @@
 //! | MP, MNI| not pruned: every candidate is drained     |
 //!
 //! `LB` is [`Htm::completion_lower_bound`](crate::Htm::completion_lower_bound)
-//! deflated by [`deflate_bound`](crate::htm::deflate_bound). MP's
+//! deflated by [`deflate_bound`](crate::htm::deflate_bound). It counts
+//! the compute ahead of the probe in the CPU lane and in the input
+//! lane, so a server whose last commit is still transferring its input
+//! is not mistaken for an idle one. MP's
 //! objective has no useful lower bound (an idle server scores 0), and
 //! MNI's count has none cheaper than a drain. The memory-aware wrappers
 //! (M-HMCT, M-MSF) prune through their inner policy.

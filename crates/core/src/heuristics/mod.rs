@@ -207,9 +207,11 @@ impl MemoSlot<'_> {
 /// completion lower bound read off each trace
 /// ([`WhatIf::completion_lower_bound`]) and stops draining once the
 /// bound passes the best value found, with the same pick as the full
-/// scan. On the casbench campaigns (2-core host) that cut drains per
-/// decision from 30.2 to 13.1 on `trace_churn` and from 57.2 to 32.2 on
-/// `dense_burst`. MP and MNI read every candidate and keep the full scan.
+/// scan. On the casbench campaigns (seed 1) a CPU-lane-only bound cut
+/// drains per decision from 30.2 to 13.1 on `trace_churn` and from 57.2
+/// to 32.2 on `dense_burst`; counting the input-lane jobs that reach
+/// the CPU ahead of the probe brings them to 9.2 and 3.5. MP and MNI
+/// read every candidate and keep the full scan.
 ///
 /// Lists longer than 16 used to batch through
 /// [`Htm::predict_all`](crate::Htm::predict_all), fanned over the worker

@@ -94,12 +94,16 @@
 //! drains outright:
 //!
 //! * **Bounded argmin.** [`Htm::completion_lower_bound`] bounds a
-//!   probe's completion from the trace state alone, in O(CPU lane):
-//!   `w + c_out + max(now + c_in, t_ref + Σ_j min(r_j, w))`, with `w` the
-//!   probe's compute cost and `r_j` the CPU lane's remaining work at its
-//!   last update `t_ref`. Lanes have capacity 1 and share equally, so
-//!   every job the probe meets in the CPU is served at least
-//!   `min(r_j, w)` before the probe leaves, and the CPU delivers at most
+//!   probe's completion from the trace state alone, in O(CPU lane +
+//!   input lane): `w + c_out + max(now + c_in, t_ref + S + Q)`, with `w`
+//!   the probe's compute cost, `S = Σ_j min(r_j, w)` over the CPU lane's
+//!   remaining work at its last update `t_ref`, and `Q = Σ_k min(c_k, w)`
+//!   over the input-lane jobs certain to reach the CPU no later than the
+//!   probe: all of them once the link has carried its backlog by `now`,
+//!   otherwise those with no more input left than the probe's `c_in`.
+//!   Lanes have capacity 1 and share equally, so every job the probe
+//!   meets in the CPU, or that reaches it first, is served at least
+//!   `min(·, w)` before the probe leaves, and the CPU delivers at most
 //!   one unit per second (proof at
 //!   [`ServerTrace::completion_lower_bound`]). HMCT and MSF visit their
 //!   candidates in bound order and stop at the first [`deflate_bound`]ed
@@ -1576,16 +1580,68 @@ mod proptests {
     }
 
     prop_compose! {
-        /// Probe costs whose every phase is zero a quarter of the time.
+        /// An input cost that is zero, a whole number of seconds below
+        /// `max` (so remaining inputs tie exactly), or continuous, a third
+        /// of the time each.
+        fn arb_input(max: u32)(mode in 0u32..3, whole in 0..max, x in 0.0f64..f64::from(max)) -> f64 {
+            match mode {
+                0 => 0.0,
+                1 => f64::from(whole),
+                _ => x,
+            }
+        }
+    }
+
+    prop_compose! {
+        /// Probe costs whose compute and output are zero a quarter of the
+        /// time, and whose input is drawn by [`arb_input`].
         fn arb_probe_costs()(
-            zero in (0u32..4, 0u32..4, 0u32..4),
-            i in 0.0f64..5.0,
+            zero in (0u32..4, 0u32..4),
+            i in arb_input(5),
             c in 0.0f64..50.0,
             o in 0.0f64..5.0,
         ) -> PhaseCosts {
             let phase = |flag: u32, x: f64| if flag == 0 { 0.0 } else { x };
-            PhaseCosts::new(phase(zero.0, i), phase(zero.1, c), phase(zero.2, o))
+            PhaseCosts::new(i, phase(zero.0, c), phase(zero.1, o))
         }
+    }
+
+    prop_compose! {
+        /// A resident for the bound proptests: arrival continuous or on a
+        /// whole second (so several residents share the cursor instant),
+        /// input by [`arb_input`].
+        fn arb_bound_resident()(
+            whole in proptest::bool::ANY,
+            arrival in 0.0f64..40.0,
+            i in arb_input(4),
+            c in 0.1f64..40.0,
+            o in 0.0f64..4.0,
+        ) -> (f64, PhaseCosts) {
+            let arrival = if whole { arrival.floor() } else { arrival };
+            (arrival, PhaseCosts::new(i, c, o))
+        }
+    }
+
+    prop_compose! {
+        /// A probe date relative to the trace: at the cursor, strictly
+        /// inside the input link's backlog, exactly at its end, or
+        /// anywhere up to 120 s (mostly past it).
+        fn arb_probe_now()(mode in 0u32..4, frac in 0.0f64..1.0, abs in 0.0f64..120.0)
+            -> (u32, f64, f64)
+        {
+            (mode, frac, abs)
+        }
+    }
+
+    fn probe_now(trace: &ServerTrace, (mode, frac, abs): (u32, f64, f64)) -> SimTime {
+        let cursor = trace.cursor().as_secs();
+        let backlog = trace.input_backlog();
+        t(match mode {
+            0 => cursor,
+            1 => cursor + frac * backlog,
+            2 => cursor + backlog,
+            _ => abs.max(cursor),
+        })
     }
 
     /// One single-server HTM per drain depth — full drains, fast drains,
@@ -1614,15 +1670,17 @@ mod proptests {
         /// The completion lower bound behind the bounded argmin is sound:
         /// deflated, it never exceeds the drained completion — compared as
         /// exact f64, no tolerance — under full, fast and truncated
-        /// completion-only drains, on the resident schedules of
-        /// `fast_drain_bitwise_equals_reference`, at any `now` at or past
-        /// the trace cursor, for probes whose phases may cost zero. On an
-        /// idle server the bound is the completion, within the margin.
+        /// completion-only drains, on resident schedules whose arrivals
+        /// and input costs may coincide or be zero, for probes at the
+        /// cursor, inside the input link's backlog, at its end and past
+        /// it, whose phases may cost zero. The bound never falls below the
+        /// CPU-lane-only bound it tightens. On an idle server the bound is
+        /// the completion, within the margin.
         #[test]
         fn completion_lower_bound_is_sound(
-            specs in proptest::collection::vec((0.0f64..40.0, arb_costs()), 0..15),
+            specs in proptest::collection::vec(arb_bound_resident(), 0..15),
             probe_costs in arb_probe_costs(),
-            nows in proptest::collection::vec(0.0f64..120.0, 1..6),
+            nows in proptest::collection::vec(arb_probe_now(), 1..6),
         ) {
             let mut arrivals = specs;
             arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
@@ -1635,12 +1693,13 @@ mod proptests {
                     htm.commit(t(arr), server, &TaskInstance::new(TaskId(k as u64), ProblemId(k as u32), t(arr)));
                 }
             }
-            let mut sorted_nows = nows;
-            sorted_nows.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for (k, now) in sorted_nows.iter().enumerate() {
-                let now = t(now.max(htms[0].trace(server).cursor().as_secs()));
+            for (k, &draw) in nows.iter().enumerate() {
+                let trace = htms[0].trace(server);
+                let now = probe_now(trace, draw);
                 let probe = TaskInstance::new(TaskId(1000 + k as u64), probe_problem, now);
                 let lb = htms[0].completion_lower_bound(now, server, &probe).unwrap();
+                let cpu_only = trace.cpu_lane_lower_bound(now, probe_costs);
+                prop_assert!(lb >= cpu_only, "bound {} below the CPU-lane bound {}", lb, cpu_only);
                 let deflated = deflate_bound(lb);
                 for htm in &mut htms {
                     prop_assert_eq!(htm.completion_lower_bound(now, server, &probe), Some(lb));

@@ -346,13 +346,26 @@ impl ServerTrace {
 
     /// A lower bound, in seconds, on the completion date of a probe with
     /// `costs` inserted at `now` — what a what-if drain would report,
-    /// computed in O(CPU lane) without draining anything.
+    /// computed in O(CPU lane + input lane) without draining anything.
     ///
-    /// With `w = costs.compute`, `t_ref` the CPU lane's last update and
-    /// `S = Σ_j min(r_j, w)` over the lane's remaining work `r_j` at
-    /// `t_ref`:
+    /// With `w = costs.compute`, `t_ref` the lanes' last update (the
+    /// cursor), `S = Σ_j min(r_j, w)` over the CPU lane's remaining work
+    /// `r_j` at `t_ref`, and `Q = Σ_k min(c_k, w)` over the input-lane
+    /// jobs `k` certain to reach the CPU no later than the probe (`c_k`
+    /// their compute cost):
     ///
-    /// `LB = w + c_out + max(now + c_in, t_ref + S)`.
+    /// `LB = w + c_out + max(now + c_in, t_ref + S + Q)`.
+    ///
+    /// An input-lane job with remaining input `r_k` at `t_ref` is counted
+    /// in `Q` when either
+    ///
+    /// * **(a)** the link has carried its whole backlog by `now`:
+    ///   `t_ref + Σ_k r_k ≤ now`. The lane has capacity 1, never idles
+    ///   while it holds work, and in a what-if nothing but the probe
+    ///   enters it, at `now`; or
+    /// * **(b)** `r_k ≤ c_in`. From `now` on, `k` and the probe share the
+    ///   link equally, so `k` never has more input left than the probe;
+    ///   on an exact tie `k` sits earlier in the lane and leaves first.
     ///
     /// Each lane has capacity 1 ([`Self::new`]), so a phase of cost `c`
     /// takes at least `c`: the probe reaches the CPU no earlier than
@@ -361,15 +374,45 @@ impl ServerTrace {
     /// run, so it receives `min(remaining, w)` during the probe's stay;
     /// with what it received since `t_ref`, that is at least
     /// `min(r_j, w)` (`min(·, w)` is 1-Lipschitz), and a job that left
-    /// earlier received all of `r_j`. The CPU serves at most one unit of
-    /// work per second, so the probe's compute phase ends no earlier
-    /// than `t_ref + S + w`. Later arrivals only add delay, and the
-    /// output phase adds at least `c_out`.
+    /// earlier received all of `r_j`. A counted input-lane job does all
+    /// of its CPU work after `t_ref` and reaches the CPU no later than
+    /// the probe, so the same argument gives it at least `min(c_k, w)`.
+    /// The CPU serves at most one unit of work per second, so the probe's
+    /// compute phase ends no earlier than `t_ref + S + Q + w`. Later
+    /// arrivals only add delay, and the output phase adds at least
+    /// `c_out`. With `Q = 0` this is the CPU-lane-only bound, so counting
+    /// input-lane jobs never loosens it.
     ///
     /// The bound is exact arithmetic; the drain's float rounding can land
     /// a hair below it, so callers that prune on it deflate it first
     /// ([`crate::htm::deflate_bound`]).
     pub fn completion_lower_bound(&self, now: SimTime, costs: PhaseCosts) -> f64 {
+        let w = costs.compute;
+        let t_ref = self.cpu.updated_at().as_secs();
+        debug_assert_eq!(self.link_in.updated_at(), self.cpu.updated_at());
+        let ahead: f64 = self.cpu.entries_iter().map(|(_, r)| r.min(w)).sum();
+        let link_clear = t_ref + self.input_backlog() <= now.as_secs();
+        let queued: f64 = self
+            .link_in
+            .entries_iter()
+            .filter(|&(_, r)| link_clear || r <= costs.input)
+            .map(|(k, _)| self.jobs[&k].costs.compute.min(w))
+            .sum();
+        w + costs.output + (now.as_secs() + costs.input).max(t_ref + ahead + queued)
+    }
+
+    /// Input still to carry over the link at the cursor. The link has
+    /// capacity 1 and never idles while it holds work, so with nothing
+    /// new joining the lane it is clear by `cursor + input_backlog()`.
+    pub(crate) fn input_backlog(&self) -> f64 {
+        self.link_in.entries_iter().map(|(_, r)| r).sum()
+    }
+
+    /// The CPU-lane-only bound `w + c_out + max(now + c_in, t_ref + S)`,
+    /// i.e. [`Self::completion_lower_bound`] with `Q = 0`: the tests
+    /// assert the queue-aware bound never falls below it.
+    #[cfg(test)]
+    pub(crate) fn cpu_lane_lower_bound(&self, now: SimTime, costs: PhaseCosts) -> f64 {
         let w = costs.compute;
         let t_ref = self.cpu.updated_at().as_secs();
         let ahead: f64 = self.cpu.entries_iter().map(|(_, r)| r.min(w)).sum();
@@ -1181,6 +1224,65 @@ mod tests {
             hits,
             7 * 4 - 2,
             "prefix hit pattern (mutated at {mutated_at})"
+        );
+    }
+
+    /// The probe's drained completion when inserted at `now`.
+    fn probe_completion(tr: &ServerTrace, now: SimTime, probe: PhaseCosts) -> f64 {
+        let mut out = Vec::new();
+        let id = TaskId(u64::MAX);
+        tr.drain_schedule_into(&mut DrainScratch::new(), Some((now, id, probe)), &mut out);
+        out.iter().find(|e| e.0 == id).unwrap().1.as_secs()
+    }
+
+    /// A resident still in the input lane at the cursor holds the CPU
+    /// ahead of the probe: once the link has carried it by `now`, its
+    /// compute counts towards the bound. The CPU-lane-only bound misses
+    /// it and sits a whole job below the completion.
+    #[test]
+    fn completion_lower_bound_counts_input_lane_jobs() {
+        let mut tr = ServerTrace::new();
+        tr.add_task(t(0.0), TaskId(1), costs(1.0, 100.0, 0.0));
+        let probe = costs(1.0, 50.0, 0.0);
+        let now = t(10.0);
+        // The resident computes alone on t = 1..11 (90 left), then shares
+        // with the probe: 50 at rate 1/2 ends at t = 111.
+        let completion = probe_completion(&tr, now, probe);
+        assert_eq!(completion, 111.0);
+        assert_eq!(tr.cpu_lane_lower_bound(now, probe), 61.0);
+        let lb = tr.completion_lower_bound(now, probe);
+        assert!(
+            (100.0..=completion).contains(&lb),
+            "bound {lb} vs completion {completion}"
+        );
+    }
+
+    /// Rule (b) on an exact tie: a resident whose remaining input equals
+    /// the probe's input cost leaves the link with it, ahead in lane
+    /// order, so it is counted and the bound stays below the completion.
+    #[test]
+    fn completion_lower_bound_counts_input_tie() {
+        let mut tr = ServerTrace::new();
+        tr.add_task(t(0.0), TaskId(1), costs(2.0, 100.0, 0.0));
+        let probe = costs(2.0, 50.0, 0.0);
+        for now in [0.0, 1.0] {
+            let now = t(now);
+            // The link backlog (2 s) is not cleared by `now`: only the tie
+            // rule can count the resident.
+            let lb = tr.completion_lower_bound(now, probe);
+            assert_eq!(lb, 100.0, "now {now:?}: tie counted");
+            assert!(lb > tr.cpu_lane_lower_bound(now, probe));
+            let completion = probe_completion(&tr, now, probe);
+            assert!(
+                lb <= completion,
+                "now {now:?}: bound {lb} vs completion {completion}"
+            );
+        }
+        // A resident with more input left than the probe is not counted.
+        let wide = costs(1.0, 50.0, 0.0);
+        assert_eq!(
+            tr.completion_lower_bound(t(0.0), wide),
+            tr.cpu_lane_lower_bound(t(0.0), wide)
         );
     }
 }

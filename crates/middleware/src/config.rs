@@ -114,10 +114,11 @@ impl FaultTolerance {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// A duration that must be finite and positive (`field`) is zero,
-    /// negative or not finite: a housekeeping period, or `mttr` while
-    /// churn is on. A period that does not advance simulated time would
-    /// make the lazy load book replay report instants forever, and a NaN
-    /// or infinite one panics when converted to a simulated instant.
+    /// negative or not finite: a housekeeping period, the load-average
+    /// time constant `load_tau`, or `mttr` while churn is on. A period
+    /// that does not advance simulated time would make the lazy load book
+    /// replay report instants forever, and a NaN or infinite one panics
+    /// when converted to a simulated instant.
     BadPeriod {
         /// The offending [`ExperimentConfig`] field.
         field: &'static str,
@@ -128,6 +129,17 @@ pub enum ConfigError {
     /// negative or NaN: `mtbf` (∞ turns churn off), or
     /// `admission_deadline` while admission is on (∞ waits forever).
     BadDuration {
+        /// The offending [`ExperimentConfig`] field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+    /// A magnitude that must be finite and `≥ 0` (`field`) is negative
+    /// or not finite: `noise_sigma`, `agent_latency`, or
+    /// `redispatch_backoff` while churn is on. A negative or infinite
+    /// latency would schedule an event before `now` or never, and the
+    /// noise distribution panics on a negative or non-finite σ.
+    BadNonNegative {
         /// The offending [`ExperimentConfig`] field.
         field: &'static str,
         /// Its value.
@@ -146,6 +158,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "{field} must be a number of seconds > 0 or inf, got {value}"
             ),
+            ConfigError::BadNonNegative { field, value } => {
+                write!(f, "{field} must be a finite number >= 0, got {value}")
+            }
         }
     }
 }
@@ -422,11 +437,13 @@ impl ExperimentConfig {
     }
 
     /// Checks that the configuration can run. Both housekeeping periods
-    /// (`load_report_period`, `noise_redraw_period`) must be finite and
-    /// positive. `mtbf` must be positive (∞ turns churn off), and while
-    /// churn is on `mttr` must be finite and positive. While admission is
-    /// on, `admission_deadline` must be positive (∞ waits forever). NaN
-    /// is never valid. The CLI reports the error; the `run_*` entry
+    /// (`load_report_period`, `noise_redraw_period`) and `load_tau` must
+    /// be finite and positive; `noise_sigma` and `agent_latency` finite
+    /// and `≥ 0`. `mtbf` must be positive (∞ turns churn off), and while
+    /// churn is on `mttr` must be finite and positive and
+    /// `redispatch_backoff` finite and `≥ 0`. While admission is on,
+    /// `admission_deadline` must be positive (∞ waits forever). NaN is
+    /// never valid. The CLI reports the error; the `run_*` entry
     /// points and [`GridWorld::new`](crate::GridWorld::new) refuse to
     /// build a world that would hang, panic or silently drop a setting.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -434,10 +451,20 @@ impl ExperimentConfig {
         for (field, value, applies) in [
             ("load_report_period", self.load_report_period, true),
             ("noise_redraw_period", self.noise_redraw_period, true),
+            ("load_tau", self.load_tau, true),
             ("mttr", self.mttr, churn),
         ] {
             if applies && !(value.is_finite() && value > 0.0) {
                 return Err(ConfigError::BadPeriod { field, value });
+            }
+        }
+        for (field, value, applies) in [
+            ("noise_sigma", self.noise_sigma, true),
+            ("agent_latency", self.agent_latency, true),
+            ("redispatch_backoff", self.redispatch_backoff, churn),
+        ] {
+            if applies && !(value.is_finite() && value >= 0.0) {
+                return Err(ConfigError::BadNonNegative { field, value });
             }
         }
         for (field, value, applies) in [
@@ -626,6 +653,7 @@ mod tests {
                 ConfigError::BadDuration { field: f, value } => {
                     infinity_ok && f == field && value.to_bits() == bad.to_bits()
                 }
+                ConfigError::BadNonNegative { .. } => false,
             };
             // mtbf: ∞ is the frozen farm.
             let c = base.with_churn(bad, 60.0);
@@ -664,6 +692,65 @@ mod tests {
                 "deadline = {bad} with admission off"
             );
         }
+    }
+
+    /// Noise σ, agent latency and re-dispatch backoff: negative and
+    /// non-finite values are typed errors naming the field, zero is
+    /// valid (no noise, no latency, immediate re-dispatch), and the
+    /// backoff is checked only while churn is on. `load_tau` is a time
+    /// constant: zero is an error too.
+    #[test]
+    fn validate_rejects_bad_noise_latency_tau_and_backoff() {
+        let base = ExperimentConfig::paper(HeuristicKind::Hmct, 1);
+        let churn = base.with_churn(400.0, 60.0);
+        for bad in [-1.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad_magnitude = |c: ExperimentConfig, field: &str| {
+                let err = c.validate().unwrap_err();
+                assert!(
+                    matches!(err, ConfigError::BadNonNegative { field: f, value }
+                        if f == field && value.to_bits() == bad.to_bits()),
+                    "{field} = {bad}: {err:?}"
+                );
+                assert!(err.to_string().contains(field), "{err}");
+            };
+            let mut c = base;
+            c.noise_sigma = bad;
+            bad_magnitude(c, "noise_sigma");
+            let mut c = base;
+            c.agent_latency = bad;
+            bad_magnitude(c, "agent_latency");
+            let mut c = churn;
+            c.redispatch_backoff = bad;
+            bad_magnitude(c, "redispatch_backoff");
+            let mut off = base;
+            off.redispatch_backoff = bad;
+            assert_eq!(off.validate(), Ok(()), "backoff = {bad} with churn off");
+            let mut c = base;
+            c.load_tau = bad;
+            assert!(
+                matches!(
+                    c.validate(),
+                    Err(ConfigError::BadPeriod {
+                        field: "load_tau",
+                        ..
+                    })
+                ),
+                "load_tau = {bad}"
+            );
+        }
+        let mut zero = churn;
+        zero.noise_sigma = 0.0;
+        zero.agent_latency = 0.0;
+        zero.redispatch_backoff = 0.0;
+        assert_eq!(zero.validate(), Ok(()));
+        zero.load_tau = 0.0;
+        assert!(matches!(
+            zero.validate(),
+            Err(ConfigError::BadPeriod {
+                field: "load_tau",
+                ..
+            })
+        ));
     }
 
     #[test]

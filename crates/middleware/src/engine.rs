@@ -2514,6 +2514,68 @@ mod tests {
         }
     }
 
+    /// Tripwire for the quality of the stage-2 completion lower bound.
+    /// Picks are identical whatever the bound, so a looser bound passes
+    /// every record-equality test and only shows up as extra drains. On a
+    /// small heterogeneous farm under bursty arrivals whose crests pass
+    /// capacity (the `dense_burst` shape), HMCT and MSF must stay under a
+    /// drains-per-decision ceiling that the CPU-lane-only bound, blind to
+    /// the jobs still in a server's input lane, exceeds. Every task is
+    /// decided once (no churn, no admission gate), so decisions = tasks.
+    /// CI runs it by name.
+    #[test]
+    fn bursty_farm_bounded_stage2_drains_stay_under_ceiling() {
+        let platform = cas_workload::synthetic::SyntheticPlatform {
+            n_servers: 64,
+            heterogeneity: 4.0,
+            n_problems: 3,
+            ..cas_workload::synthetic::SyntheticPlatform::default()
+        };
+        let (costs, servers) = (platform.cost_table(0x5CA1E), platform.servers(0x5CA1E));
+        let service_rate: f64 = (0..costs.n_servers())
+            .map(|s| {
+                let mean = (0..costs.n_problems())
+                    .map(|p| {
+                        costs
+                            .costs(cas_platform::ProblemId(p as u32), ServerId(s as u32))
+                            .expect("synthetic tables are fully solvable")
+                            .total()
+                    })
+                    .sum::<f64>()
+                    / costs.n_problems() as f64;
+                1.0 / mean
+            })
+            .sum();
+        // Mean utilisation 0.85, crest 4× the trough.
+        let base_rate = 2.0 * 0.85 * service_rate / 5.0;
+        let n_tasks = 1_500;
+        let tasks = cas_workload::synthetic::BurstArrivals {
+            n_tasks,
+            base_rate,
+            peak_rate: 4.0 * base_rate,
+            period: 600.0,
+            n_problems: costs.n_problems(),
+        }
+        .generate(1);
+        // Measured: HMCT 8.63 and MSF 30.94 drains per decision; the
+        // CPU-lane-only bound gives 40.38 and 46.51.
+        for (kind, ceiling) in [(HeuristicKind::Hmct, 15.0), (HeuristicKind::Msf, 38.0)] {
+            let cfg = ExperimentConfig::ideal(kind, 1)
+                .with_selector(cas_core::SelectorKind::parse("adaptive:8:64").unwrap());
+            let world = GridWorld::new(cfg, costs.clone(), servers.clone(), tasks.clone());
+            let mut sim = cas_sim::Simulation::new(world);
+            sim.run_to_completion();
+            let world = sim.into_world();
+            assert!(world.records().iter().all(|r| r.is_completed()), "{kind:?}");
+            let stats = world.agent().stage2_stats();
+            let per_decision = stats.drains as f64 / n_tasks as f64;
+            assert!(
+                per_decision <= ceiling,
+                "{kind:?}: {per_decision:.2} drains per decision, ceiling {ceiling}: {stats:?}"
+            );
+        }
+    }
+
     /// Flat and BTree rankings stay bit-identical through the full
     /// lifecycle machinery: churn (crashes, repairs, retraction replay)
     /// plus the rebalances it triggers — the rebuilt blocks must keep

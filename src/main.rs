@@ -350,7 +350,13 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
                 }
             }
             "--noise" => {
-                args.noise = num_flag("--noise", &take(&mut i)?, "a sigma >= 0 (e.g. 0.03)")?
+                let v = take(&mut i)?;
+                args.noise = num_flag("--noise", &v, "a finite sigma >= 0 (e.g. 0.03)")?;
+                if !(args.noise >= 0.0 && args.noise.is_finite()) {
+                    return Err(format!(
+                        "--noise: expected a finite sigma >= 0 (e.g. 0.03), got {v:?}"
+                    ));
+                }
             }
             "--format" => args.format = take(&mut i)?,
             "--no-memory" => args.memory = false,
@@ -1000,6 +1006,9 @@ mod tests {
             ("run --gap nan", "--gap"),
             ("run --gap inf", "--gap"),
             ("run --noise loud", "--noise"),
+            ("run --noise -1", "--noise"),
+            ("run --noise nan", "--noise"),
+            ("run --noise inf", "--noise"),
             ("run --burst 0.2", "--burst"),
             ("run --burst-period -5", "--burst-period"),
             ("run --shards none", "--shards"),
@@ -1162,5 +1171,20 @@ mod tests {
         let (_, mut args) = parse(&argv("run --tasks 5 --reps 1")).unwrap();
         args.heuristic = "MSF".into();
         assert!(cmd_run(&args).is_ok());
+    }
+
+    /// A noise σ that bypasses the flag check still fails closed on the
+    /// run path: a one-line configuration error, not a panic in the
+    /// noise distribution.
+    #[test]
+    fn run_path_rejects_bad_noise() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let (_, mut args) = parse(&argv("run --tasks 5 --reps 1")).unwrap();
+            args.noise = bad;
+            let err = cmd_run(&args).unwrap_err();
+            assert!(err.starts_with("invalid configuration"), "{bad}: {err}");
+            assert!(err.contains("noise_sigma"), "{bad}: {err}");
+            assert_eq!(err.lines().count(), 1, "{bad}: {err}");
+        }
     }
 }
