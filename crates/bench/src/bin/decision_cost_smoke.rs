@@ -14,21 +14,7 @@
 //! `churn` commits the chosen task after every decision (one server's
 //! cache invalidated per round, as in a live scheduler).
 //!
-//! A second section measures the **commit path**: the cost of absorbing a
-//! placement into the model, from the commit call to the next baseline
-//! consumer (`resident_estimate`, the memory-aware veto's per-decision
-//! read). Each round replays the engine's exact order — predict the
-//! chosen server, commit, read the baseline — and times only the
-//! commit-and-read portion:
-//!
-//! * `commit_full_redrain` — PR-1 behaviour ([`RepairPolicy::FullRedrain`]):
-//!   the commit invalidates the baseline and the read pays a full
-//!   re-drain of the server's trace;
-//! * `commit_incremental` — [`RepairPolicy::Incremental`] (the default):
-//!   the commit adopts the memoised speculative after-schedule, so the
-//!   read is a cache hit.
-//!
-//! A third section measures the **prediction memo**: the speculative
+//! A second section measures the **prediction memo**: the speculative
 //! after-drain is keyed on (problem costs, instant, trace generation) —
 //! not the probe id — so same-instant probes of the same problem share
 //! one drain. The section times a second same-problem batch against the
@@ -36,10 +22,11 @@
 //! ([`cas_core::MemoStats`]).
 //!
 //! Writes `BENCH_decision_cost.json` (path overridable as argv[1]) with
-//! per-configuration timings and speedups; CI runs this as the perf gate
-//! (decision gate ≥ 3x vs clone, commit-path gate ≥ 2x vs full re-drain).
+//! per-configuration timings and speedups, plus the git rev and `nproc`
+//! they were measured at; CI runs this as the perf gate (decision gate
+//! ≥ 3x vs clone).
 
-use cas_core::{Htm, MemoStats, RepairPolicy, SyncPolicy};
+use cas_core::{Htm, MemoStats, SyncPolicy};
 use cas_platform::{CostTable, PhaseCosts, Problem, ProblemId, ServerId, TaskId, TaskInstance};
 use cas_sim::SimTime;
 use std::fmt::Write as _;
@@ -162,39 +149,6 @@ fn run(path: Path, mode: Mode, per_server: usize, rounds: usize) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / rounds as f64
 }
 
-/// Times the commit path (commit + first baseline read) under `policy`,
-/// returning mean microseconds per commit. The surrounding predict matches
-/// the engine's decision order and is excluded from the measurement — it
-/// costs the same under both policies.
-fn run_commit_path(policy: RepairPolicy, per_server: usize, rounds: usize) -> f64 {
-    let mut htm = loaded_htm(per_server);
-    htm.set_repair_policy(policy);
-    let mut next_id = 900_000u64;
-    let mut now = 500.0f64;
-    // Warm-up: fault in every server's baseline cache and scratch.
-    for s in 0..N_SERVERS {
-        black_box(htm.resident_estimate(SimTime::from_secs(now), ServerId(s)));
-    }
-    let mut in_commit = std::time::Duration::ZERO;
-    for round in 0..rounds {
-        now += 0.01;
-        let server = ServerId((round % N_SERVERS as usize) as u32);
-        let task = TaskInstance::new(
-            TaskId(next_id),
-            ProblemId((round % 3) as u32),
-            SimTime::from_secs(now),
-        );
-        next_id += 1;
-        // The decision the engine makes before every commit (untimed).
-        black_box(htm.predict(task.arrival, server, &task));
-        let start = Instant::now();
-        htm.commit(task.arrival, server, &task);
-        black_box(htm.resident_estimate(task.arrival, server));
-        in_commit += start.elapsed();
-    }
-    in_commit.as_secs_f64() * 1e6 / rounds as f64
-}
-
 /// Times same-instant same-problem probe batches: the first batch drains,
 /// the second must be answered from the problem-keyed memo. Returns
 /// (first µs/batch, repeat µs/batch, final memo stats).
@@ -240,10 +194,6 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3.0);
-    let commit_gate: f64 = std::env::var("COMMIT_PATH_GATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
     let mut results = String::new();
     let mut min_speedup = f64::INFINITY;
     let mut first = true;
@@ -278,38 +228,6 @@ fn main() {
             );
         }
     }
-    // Commit-path section: full re-drain (PR 1) vs incremental splice.
-    let mut commit_results = String::new();
-    let mut commit_min_speedup = f64::INFINITY;
-    let mut commit_first = true;
-    for &per_server in &[8usize, 32, 128] {
-        let rounds = match per_server {
-            128 => 192,
-            32 => 640,
-            _ => 1920,
-        };
-        let full_us = run_commit_path(RepairPolicy::FullRedrain, per_server, rounds);
-        let inc_us = run_commit_path(RepairPolicy::Incremental, per_server, rounds);
-        let speedup = full_us / inc_us;
-        commit_min_speedup = commit_min_speedup.min(speedup);
-        eprintln!(
-            "64 servers × {per_server:>3} tasks, commit : \
-             full redrain {full_us:>10.2} µs/commit, incremental {inc_us:>8.2} µs/commit, \
-             speedup {speedup:>6.1}x"
-        );
-        if !commit_first {
-            commit_results.push_str(",\n");
-        }
-        commit_first = false;
-        let _ = write!(
-            commit_results,
-            "    {{\"servers\": {N_SERVERS}, \"per_server_tasks\": {per_server}, \
-             \"rounds\": {rounds}, \
-             \"full_redrain_us_per_commit\": {full_us:.2}, \
-             \"incremental_us_per_commit\": {inc_us:.2}, \
-             \"speedup\": {speedup:.2}}}"
-        );
-    }
     // Prediction-memo section: same-instant, same-problem probes must be
     // answered from the problem-keyed memo instead of re-draining.
     let (first_us, repeat_us, memo) = run_memo_probe(32, 200);
@@ -322,16 +240,10 @@ fn main() {
         memo.cross_task_hits
     );
     let json = format!(
-        "{{\n  \"bench\": \"decision_cost\",\n  \"unit\": \"microseconds per scheduling decision \
+        "{{\n  \"bench\": \"decision_cost\",\n  {},\n  \"unit\": \"microseconds per scheduling decision \
          (one what-if query per candidate server)\",\n  \"baseline\": \"Htm::predict_reference \
          (clone-and-drain per query)\",\n  \"candidate\": \"Htm::predict_all (generation-cached \
          baseline + zero-clone scratch drain, serial per candidate)\",\n  \"results\": [\n{results}\n  ],\n\
-  \"commit_path\": {{\n    \"unit\": \"microseconds per commit (commit + first baseline read, \
-         predict excluded)\",\n    \"baseline\": \"RepairPolicy::FullRedrain (PR 1: invalidate, \
-         re-drain on next read)\",\n    \"candidate\": \"RepairPolicy::Incremental (splice: adopt \
-         the memoised after-schedule)\",\n    \"results\": [\n{commit_results}\n    ],\n\
-    \"acceptance\": {{\"required_min_speedup\": 2.0, \"observed_min_speedup\": \
-         {commit_min_speedup:.2}, \"pass\": {}}}\n  }},\n\
   \"prediction_memo\": {{\n    \"unit\": \"microseconds per 64-candidate batch (same instant, \
          same problem, different task id)\",\n    \"first_probe_us_per_batch\": {first_us:.2},\n    \
     \"same_problem_repeat_us_per_batch\": {repeat_us:.2},\n    \"speedup\": {memo_speedup:.2},\n    \
@@ -339,7 +251,7 @@ fn main() {
     \"hit_rate\": {:.4},\n    \"acceptance\": {{\"cross_task_hits_nonzero\": {}}}\n  }},\n\
   \"acceptance\": {{\"required_min_speedup\": 3.0, \"observed_min_speedup\": {min_speedup:.2}, \
          \"pass\": {}}}\n}}\n",
-        commit_min_speedup >= 2.0,
+        cas_bench::provenance::json_fields(),
         memo.drains,
         memo.hits,
         memo.cross_task_hits,
@@ -348,11 +260,8 @@ fn main() {
         min_speedup >= 3.0
     );
     std::fs::write(&out_path, &json).expect("write bench json");
-    eprintln!(
-        "wrote {out_path}; min decision speedup {min_speedup:.2}x (exit gate: >= {gate}x), \
-         min commit-path speedup {commit_min_speedup:.2}x (exit gate: >= {commit_gate}x)"
-    );
-    if min_speedup < gate || commit_min_speedup < commit_gate {
+    eprintln!("wrote {out_path}; min decision speedup {min_speedup:.2}x (exit gate: >= {gate}x)");
+    if min_speedup < gate {
         std::process::exit(1);
     }
 }

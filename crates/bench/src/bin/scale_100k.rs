@@ -12,9 +12,9 @@
 //!   frozen; crash-safe accounting at this binary's settings is covered
 //!   by the churn smoke below);
 //! * **wall budget** — `SCALE100K_BUDGET_SECS` (default 4500: the full
-//!   campaign measures ~52 min on one dev core at ~3.2k tasks/s, and
-//!   the parallel stage-1 arm reclaims a large slice of that on
-//!   multi-core runners, so the envelope carries ~1.4× margin);
+//!   campaign measures ~52 min on one dev core at ~3.2k tasks/s; the
+//!   stage-1 tree walk is serial, so extra cores do not shorten it, and
+//!   the envelope carries ~1.4× margin);
 //! * **liveness of both walk levels** — group and member-shard skip
 //!   counters must be non-zero: a silent fall-back to the flat walk is
 //!   a regression even when it completes in time;

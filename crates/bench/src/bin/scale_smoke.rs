@@ -1435,8 +1435,8 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"bench\": \"scale_smoke\",\n  \"scenario\": \"{n_servers}-server burst campaign \
-         (IPPP thinning arrivals, HMCT, adaptive event queue, incremental HTM repair, \
+        "{{\n  \"bench\": \"scale_smoke\",\n  {},\n  \"scenario\": \"{n_servers}-server burst campaign \
+         (IPPP thinning arrivals, HMCT, adaptive event queue, generation-cached HTM baseline, \
          two-stage candidate pipeline)\",\n\
   \"n_servers\": {n_servers},\n  \"n_tasks\": {n_tasks},\n  \"selector\": \"{selector_spec}\",\n\
   \"arrivals\": {{\"base_rate_per_s\": {base_rate:.4}, \"peak_rate_per_s\": {:.4}, \
@@ -1446,6 +1446,7 @@ fn main() {
   \"events_per_wall_s\": {:.0},\n  \"tasks_per_wall_s\": {:.0},\n\
   \"queue_backend_final\": \"{queue_backend}\",\n  \"queue_migrations\": {queue_migrations},\n\
   \"completed\": {completed},\n  \"mean_stretch\": {:.3},\n",
+        cas_bench::provenance::json_fields(),
         burstiness * base_rate,
         events as f64 / run_secs,
         n_tasks as f64 / run_secs,

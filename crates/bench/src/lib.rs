@@ -20,6 +20,7 @@
 //! experiments, paper reference values, and result formatting.
 
 pub mod paper;
+pub mod provenance;
 pub mod tables;
 
 pub use tables::{run_table, TableSpec, Workload};

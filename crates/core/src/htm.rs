@@ -29,30 +29,30 @@
 //!   tasks already on a server, with no insertion) only changes when the
 //!   server's trace mutates. Each trace carries a [`Generation`] stamp
 //!   ([`ServerTrace::generation`]); the HTM caches the drained baseline per
-//!   server keyed by that stamp, so the baseline is computed once per
-//!   commit/retract/sync, not once per query. Queries never advance the
-//!   real trace (the trace stays lazy until the next mutation), which is
-//!   what keeps the stamp stable across an entire decision round — and
-//!   across rounds for every server the agent did not commit to.
+//!   server keyed by that stamp, so the baseline is drained at most once
+//!   per commit/retract/sync, and only if something reads it, not once
+//!   per query. Queries never advance the real trace (the trace stays
+//!   lazy until the next mutation), which is what keeps the stamp stable
+//!   across an entire decision round — and across rounds for every
+//!   server the agent did not commit to.
 //! * **Zero-clone speculative drain.** The *after* schedule (with the
 //!   candidate task inserted) runs through a per-server
 //!   [`DrainScratch`](crate::trace::DrainScratch): flat reusable buffers
 //!   replaying the exact event arithmetic of the clone-based path, so
 //!   results are bit-for-bit identical without per-query heap allocation.
-//! * **Incremental baseline repair.** A commit used to invalidate the
-//!   server's baseline and pay a full re-drain on the next query. But the
-//!   speculative *after*-schedule computed for `(task, now)` — which the
-//!   engine has almost always just computed, since every commit follows a
-//!   prediction for the winning server — **is** the post-commit baseline:
-//!   the commit mutates the trace into exactly the state that drain
-//!   describes. Under [`RepairPolicy::Incremental`] (the default), commit
-//!   therefore splices: it adopts the memoised after-schedule (recomputing
-//!   it on the spot only if no matching query preceded the commit) and
-//!   the trace mutation costs O(advance) instead of O(full re-drain).
-//!   Retract and observe repair the same way through
-//!   [`ServerTrace::drain_schedule_without`]. The differential proptests
-//!   below additionally assert, after every mutation, that the repaired
-//!   baseline is bit-for-bit identical to a from-scratch re-drain.
+//! * **One cache rule for the baseline.** A commit, retract or observe
+//!   only mutates the trace, which bumps its generation and leaves the
+//!   cached baseline stale; the next reader ([`Htm::predict`] with
+//!   perturbations, [`Htm::resident_estimate`]) re-drains it. The one
+//!   free case is taken: the speculative *after*-schedule for `(task,
+//!   now)` **is** the post-commit baseline, since the commit mutates the
+//!   trace into exactly the state that drain describes. When the memo
+//!   already holds that schedule complete for this very query — the
+//!   common case, since the engine predicts the winner just before it
+//!   commits — the commit swaps it in as the fresh baseline. No drain
+//!   ever runs for a baseline nobody reads. The proptests below assert
+//!   that a fresh cached baseline is bit-for-bit a from-scratch
+//!   re-drain after every mutation.
 //!
 //! # The stage-2 drain engine ([`Stage2Mode`])
 //!
@@ -66,16 +66,15 @@
 //!   [`Htm::set_completion_only`]), the drain stops as soon as the probe's
 //!   last phase completes: the output is a bit-exact *prefix* of the full
 //!   after-schedule, and rejected candidates never pay for the tail. The
-//!   memo records whether its entry is truncated; a commit (which splices
-//!   the after-schedule in as the new baseline and therefore needs all of
-//!   it) re-runs the drain to completion — cheaply, via the prefix cursor.
+//!   memo records whether its entry is truncated; a commit after a
+//!   truncated memo cannot adopt it as the baseline and leaves the
+//!   baseline stale instead.
 //! * **Prefix sharing.** Every probe of a decision round replays the same
 //!   baseline events on a server before its insertion point. A per-server
 //!   [`PrefixCursor`](crate::trace::PrefixCursor) caches the replay state
 //!   at the last processed event of the shared advance-to-`now` prefix,
-//!   keyed by trace generation; subsequent probes (and the commit's
-//!   full re-drain) resume from the snapshot instead of replaying the
-//!   trace's whole event history.
+//!   keyed by trace generation; subsequent probes resume from the
+//!   snapshot instead of replaying the trace's whole event history.
 //!
 //! [`Stage2Mode::Full`] keeps the previous engine untouched — fresh
 //! scratch load and complete drain per memo miss — as the executable
@@ -154,24 +153,6 @@ pub enum SyncPolicy {
     /// synchronization between the HTM and the execution of the tasks"
     /// future work).
     ForceFinish,
-}
-
-/// How the HTM keeps each server's cached baseline consistent across
-/// trace mutations (commit / retract / observe).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepairPolicy {
-    /// Splice the mutation into the cached schedule: a commit adopts the
-    /// speculative after-schedule of the committed task (memoised from
-    /// the preceding prediction in the common case), a retract adopts the
-    /// without-task drain. The baseline never goes stale, so mutations
-    /// cost O(advance), not O(full re-drain).
-    #[default]
-    Incremental,
-    /// PR-1 behaviour: invalidate on mutation, full re-drain on the next
-    /// query. Kept as the executable specification of `Incremental` (the
-    /// differential proptests compare the two) and as the baseline of the
-    /// `decision_cost` commit-path bench.
-    FullRedrain,
 }
 
 /// Which stage-2 drain engine answers what-if queries (see the module
@@ -255,17 +236,16 @@ struct PredictState {
     /// break by lane position), so two same-instant probes of the same
     /// problem share one drain and differ only in the label of the
     /// probe's own entry — see [`PredictState::refresh_after`]. Also lets
-    /// a commit that follows its own prediction — the engine's invariable
-    /// order — adopt `after` as the new baseline without recomputing.
+    /// a commit that follows its own prediction — the engine's usual
+    /// order — adopt a complete `after` as the new baseline.
     /// The [`TaskId`] is the probe id currently labelling the memoised
     /// schedule.
     after_query: Option<(AfterKey, TaskId)>,
     /// Whether `after` holds the *complete* after-schedule (`true`) or a
     /// truncated prefix ending at the probe's completion (`false`). A
-    /// truncated memo answers completion-only queries; a consumer that
-    /// needs the whole schedule (commit's splice, perturbation fills)
-    /// re-drains. Only ever `false` under [`Stage2Mode::Fast`] with
-    /// completion-only depth.
+    /// truncated memo answers completion-only queries; a perturbation
+    /// fill re-drains, and a commit does not adopt it. Only ever `false`
+    /// under [`Stage2Mode::Fast`] with completion-only depth.
     after_complete: bool,
     /// Fast-mode baseline-prefix snapshot shared by all probes against one
     /// `(generation, now)`; invalidated implicitly by generation bumps.
@@ -371,14 +351,6 @@ impl PredictState {
             self.after_query = Some((key, task));
             self.drains += 1;
         }
-    }
-
-    /// Promotes `after` to `baseline` (the splice step of incremental
-    /// repair); `after` is left holding the superseded baseline and its
-    /// memo stamp is cleared.
-    fn adopt_after_as_baseline(&mut self) {
-        std::mem::swap(&mut self.baseline, &mut self.after);
-        self.after_query = None;
     }
 
     /// Answers one what-if query against `trace` without touching it.
@@ -577,7 +549,6 @@ pub struct Htm {
     /// the single id-keyed map left on the commit path.
     by_task: HashMap<TaskId, ArenaKey<CommittedTask>>,
     sync: SyncPolicy,
-    repair: RepairPolicy,
     stage2: Stage2Mode,
     /// Fast-mode depth: when `true`, the configured heuristic only ever
     /// reads the probe's completion, so queries skip the perturbation
@@ -597,23 +568,10 @@ impl Htm {
             committed: Arena::new(),
             by_task: HashMap::new(),
             sync,
-            repair: RepairPolicy::default(),
             stage2: Stage2Mode::default(),
             completion_only: false,
             predictions_made: 0,
         }
-    }
-
-    /// Selects how cached baselines are repaired across mutations (default
-    /// [`RepairPolicy::Incremental`]; the full-re-drain fallback exists
-    /// for differential testing and the commit-path bench).
-    pub fn set_repair_policy(&mut self, repair: RepairPolicy) {
-        self.repair = repair;
-    }
-
-    /// The active baseline-repair policy.
-    pub fn repair_policy(&self) -> RepairPolicy {
-        self.repair
     }
 
     /// Selects the stage-2 drain engine (default [`Stage2Mode::Fast`];
@@ -703,10 +661,9 @@ impl Htm {
     }
 
     /// The cached baseline schedule of `server`, if it is fresh for the
-    /// trace's current generation. Under [`RepairPolicy::Incremental`]
-    /// this is always `Some` (repair keeps the cache consistent through
-    /// every mutation); the splice ≡ re-drain differential proptests
-    /// compare it bitwise against [`ServerTrace::drain_schedule`].
+    /// trace's current generation; `None` while a mutation has left it
+    /// stale and no reader has re-drained it yet. The proptests compare
+    /// a fresh baseline bitwise against [`ServerTrace::drain_schedule`].
     pub fn cached_baseline(&self, server: ServerId) -> Option<&[(TaskId, SimTime)]> {
         let state = &self.predict_states[server.index()];
         (state.baseline_gen == self.traces[server.index()].generation())
@@ -850,11 +807,10 @@ impl Htm {
     /// line). The mapping becomes part of the historical trace used by all
     /// later predictions.
     ///
-    /// Under [`RepairPolicy::Incremental`] the server's cached baseline is
-    /// spliced rather than invalidated: the speculative after-schedule for
-    /// `(task, now)` — memoised from the prediction that invariably
-    /// precedes a commit, or recomputed here if none did — *is* the
-    /// post-commit baseline, so the next query pays no re-drain.
+    /// The server's cached baseline goes stale and is re-drained by its
+    /// next reader, unless the memo holds the *complete* after-schedule
+    /// of exactly this `(task, now)` query: that schedule is the
+    /// post-commit baseline, so it is swapped in and stays fresh.
     ///
     /// # Panics
     /// Panics if the server cannot solve the problem or the task was
@@ -869,47 +825,21 @@ impl Htm {
             "task {} committed twice",
             task.id
         );
-        if self.repair == RepairPolicy::Incremental {
-            let trace = &self.traces[server.index()];
-            let state = &mut self.predict_states[server.index()];
-            // The splice needs the *complete* after-schedule: a truncated
-            // memo entry (completion-only fast mode) is re-drained to the
-            // end here, resuming the shared prefix the prediction saved.
-            state.refresh_after(trace, now, task.id, costs, self.stage2, false);
-            state.adopt_after_as_baseline();
-            let trace = &mut self.traces[server.index()];
-            trace.add_task(now, task.id, costs);
+        let trace = &mut self.traces[server.index()];
+        let state = &mut self.predict_states[server.index()];
+        let query = (AfterKey::new(costs, now, trace.generation()), task.id);
+        let adopt = state.after_complete && state.after_query == Some(query);
+        trace.add_task(now, task.id, costs);
+        if adopt {
+            std::mem::swap(&mut state.baseline, &mut state.after);
+            state.after_query = None;
             state.baseline_gen = trace.generation();
-        } else {
-            self.traces[server.index()].add_task(now, task.id, costs);
         }
         let key = self.committed.insert(CommittedTask {
             server,
             problem: task.problem,
         });
         self.by_task.insert(task.id, key);
-    }
-
-    /// Force-finishes `task` on `server`'s trace, splicing the cached
-    /// baseline under [`RepairPolicy::Incremental`] (the without-task
-    /// drain becomes the new baseline; see
-    /// [`ServerTrace::drain_schedule_without`]). Returns whether the task
-    /// was still active.
-    fn force_finish_repaired(&mut self, now: SimTime, server: ServerId, task: TaskId) -> bool {
-        if self.repair == RepairPolicy::Incremental {
-            let trace = &self.traces[server.index()];
-            let state = &mut self.predict_states[server.index()];
-            let removed_predicted =
-                trace.drain_schedule_without(&mut state.scratch, now, task, &mut state.after);
-            state.adopt_after_as_baseline();
-            let trace = &mut self.traces[server.index()];
-            let removed = trace.force_finish(now, task);
-            debug_assert_eq!(removed, removed_predicted);
-            state.baseline_gen = trace.generation();
-            removed
-        } else {
-            self.traces[server.index()].force_finish(now, task)
-        }
     }
 
     /// Un-commits a task (the real server rejected it and the client will
@@ -919,7 +849,7 @@ impl Htm {
             return false;
         };
         let rec = self.committed.remove(key).expect("indexed record is live");
-        self.force_finish_repaired(now, rec.server, task)
+        self.traces[rec.server.index()].force_finish(now, task)
     }
 
     /// Feeds an observed completion back into the model, according to the
@@ -934,7 +864,7 @@ impl Htm {
                 .get(key)
                 .expect("indexed record is live")
                 .server;
-            self.force_finish_repaired(now, server, task);
+            self.traces[server.index()].force_finish(now, task);
         }
     }
 
@@ -1098,24 +1028,21 @@ mod tests {
     }
 
     /// Edge case for the crash path: retracting the *last* in-flight
-    /// task of a server must return its trace to pristine under both
-    /// repair policies — the ledger empties, the resident estimate
-    /// zeroes, and the next prediction is the unloaded cost.
+    /// task of a server must return its trace to pristine — the ledger
+    /// empties, the resident estimate zeroes, and the next prediction is
+    /// the unloaded cost.
     #[test]
     fn retracting_last_in_flight_task_resets_server() {
-        for repair in [RepairPolicy::Incremental, RepairPolicy::FullRedrain] {
-            let mut htm = Htm::new(table(), SyncPolicy::ForceFinish);
-            htm.set_repair_policy(repair);
-            htm.commit(t(0.0), ServerId(0), &task(1, 0.0));
-            htm.commit(t(5.0), ServerId(0), &task(2, 5.0));
-            assert!(htm.retract(t(10.0), TaskId(2)));
-            assert!(htm.retract(t(10.0), TaskId(1)), "{repair:?}: last task");
-            assert_eq!(htm.active_on(ServerId(0)), 0, "{repair:?}");
-            assert_eq!(htm.resident_estimate(t(10.0), ServerId(0)), 0.0);
-            let p = htm.predict(t(10.0), ServerId(0), &task(3, 10.0)).unwrap();
-            assert!(p.perturbations.is_empty(), "{repair:?}");
-            assert_eq!(p.completion, t(110.0), "{repair:?}");
-        }
+        let mut htm = Htm::new(table(), SyncPolicy::ForceFinish);
+        htm.commit(t(0.0), ServerId(0), &task(1, 0.0));
+        htm.commit(t(5.0), ServerId(0), &task(2, 5.0));
+        assert!(htm.retract(t(10.0), TaskId(2)));
+        assert!(htm.retract(t(10.0), TaskId(1)), "last task");
+        assert_eq!(htm.active_on(ServerId(0)), 0);
+        assert_eq!(htm.resident_estimate(t(10.0), ServerId(0)), 0.0);
+        let p = htm.predict(t(10.0), ServerId(0), &task(3, 10.0)).unwrap();
+        assert!(p.perturbations.is_empty());
+        assert_eq!(p.completion, t(110.0));
     }
 
     /// Edge case for the crash path: a single-task retraction racing
@@ -1246,10 +1173,10 @@ mod tests {
         assert_eq!(b, reference);
     }
 
-    /// A commit that follows a *relabelled* memo hit must still splice the
-    /// correct after-schedule in as the new baseline.
+    /// A commit that follows a *relabelled* memo hit must still adopt the
+    /// correct after-schedule as the new baseline.
     #[test]
-    fn commit_after_cross_task_hit_splices_correctly() {
+    fn commit_after_cross_task_hit_adopts_correctly() {
         let mut htm = Htm::new(table(), SyncPolicy::None);
         htm.commit(t(0.0), ServerId(0), &task(1, 0.0));
         htm.predict(t(5.0), ServerId(0), &task(100, 5.0)).unwrap();
@@ -1310,39 +1237,69 @@ mod tests {
         }
     }
 
-    /// Incremental repair keeps the baseline fresh through commits that
-    /// were *not* preceded by a matching prediction (cold splice) and
-    /// through retracts, matching a from-scratch re-drain exactly.
+    /// The baseline cache rule at commit. A warm commit of a complete
+    /// memo adopts it: the baseline is fresh, equals a full re-drain, and
+    /// no drain ran. A commit after a truncated memo, or with no memo
+    /// for the task, runs no drain and leaves the baseline stale; a
+    /// retract does too. The next reader re-drains.
     #[test]
-    fn spliced_baseline_matches_full_redrain() {
-        let mut htm = Htm::new(table(), SyncPolicy::None);
-        assert_eq!(htm.repair_policy(), RepairPolicy::Incremental);
-        // Cold commits: no predict in between.
-        htm.commit(t(0.0), ServerId(0), &task(1, 0.0));
-        htm.commit(t(5.0), ServerId(0), &task(2, 5.0));
-        htm.commit(t(5.0), ServerId(1), &task(3, 5.0));
-        for s in [ServerId(0), ServerId(1)] {
-            let cached = htm.cached_baseline(s).expect("baseline stays fresh");
-            assert_eq!(cached.to_vec(), htm.trace(s).drain_schedule(), "{s}");
-        }
-        // Warm commit: predict first (the engine's order), then commit.
-        let probe = task(4, 8.0);
-        htm.predict(t(8.0), ServerId(0), &probe).unwrap();
-        htm.commit(t(8.0), ServerId(0), &probe);
-        let cached = htm.cached_baseline(ServerId(0)).unwrap();
-        assert_eq!(cached.to_vec(), htm.trace(ServerId(0)).drain_schedule());
-        // Retract splices too.
+    fn commit_adopts_only_a_complete_memo() {
+        let mut c = CostTable::new(1);
+        c.add_problem(
+            Problem::new("p", 0.0, 0.0, 0.0),
+            vec![Some(PhaseCosts::new(0.0, 100.0, 0.0))],
+        );
+        c.add_problem(
+            Problem::new("q", 0.0, 0.0, 0.0),
+            vec![Some(PhaseCosts::new(0.0, 1.0, 0.0))],
+        );
+        let s0 = ServerId(0);
+        let mut htm = Htm::new(c.clone(), SyncPolicy::None);
+        // Cold commits: no memo for the task, so no drain and no adoption.
+        htm.commit(t(0.0), s0, &task(1, 0.0));
+        htm.commit(t(0.0), s0, &task(2, 0.0));
+        assert_eq!(htm.memo_stats().drains, 0);
+        assert!(
+            htm.cached_baseline(s0).is_none(),
+            "cold commit leaves it stale"
+        );
+        // Warm commit: the full prediction drains once, the commit adopts.
+        let probe = task(3, 8.0);
+        htm.predict(t(8.0), s0, &probe).unwrap();
+        let drains = htm.memo_stats().drains;
+        htm.commit(t(8.0), s0, &probe);
+        assert_eq!(htm.memo_stats().drains, drains, "adoption runs no drain");
+        let cached = htm.cached_baseline(s0).expect("warm commit keeps it fresh");
+        assert_eq!(cached.to_vec(), htm.trace(s0).drain_schedule());
+        // Retract: stale again, re-drained on read.
         assert!(htm.retract(t(10.0), TaskId(2)));
-        let cached = htm.cached_baseline(ServerId(0)).unwrap();
-        assert_eq!(cached.to_vec(), htm.trace(ServerId(0)).drain_schedule());
+        assert!(htm.cached_baseline(s0).is_none(), "retract leaves it stale");
+        htm.resident_estimate(t(10.0), s0);
+        let cached = htm.cached_baseline(s0).expect("the read re-drains");
+        assert_eq!(cached.to_vec(), htm.trace(s0).drain_schedule());
         // Retracting an unknown task is a no-op.
         assert!(!htm.retract(t(11.0), TaskId(99)));
+
+        // Truncated memo: completion-only depth stops the drain at the
+        // short probe's completion, so the commit cannot adopt it.
+        let mut fast = Htm::new(c, SyncPolicy::None);
+        fast.set_completion_only(true);
+        for id in 0..4 {
+            fast.commit(t(0.0), s0, &task(id, 0.0));
+        }
+        let short = TaskInstance::new(TaskId(100), cas_platform::ProblemId(1), t(1.0));
+        fast.predict(t(1.0), s0, &short).unwrap();
+        let stats = fast.memo_stats();
+        assert_eq!(stats.truncated, 1, "the drain stopped early");
+        fast.commit(t(1.0), s0, &short);
+        assert_eq!(fast.memo_stats(), stats, "the commit runs no drain");
+        assert!(fast.cached_baseline(s0).is_none(), "truncated memo: stale");
     }
 
     /// Completion-only fast mode must truncate drains (the counters say
     /// so) while reporting the exact completion the full engine computes,
-    /// and a commit after a truncated prediction must still splice a
-    /// complete baseline.
+    /// and the baseline re-drained after a commit of a truncated
+    /// prediction must be complete.
     #[test]
     fn completion_only_truncates_and_commit_completes_the_schedule() {
         let mut c = CostTable::new(1);
@@ -1378,13 +1335,14 @@ mod tests {
         let stats = fast.memo_stats();
         assert!(stats.truncated > 0, "drain must have stopped early");
         assert!(stats.truncation_rate() > 0.0);
-        // Committing the probe needs the whole after-schedule: the splice
-        // must still be bit-identical to a full re-drain.
+        // The truncated memo is not adopted; the next read re-drains the
+        // whole baseline, bit-identical to a full re-drain.
         fast.commit(t(1.0), ServerId(0), &probe);
         full.commit(t(1.0), ServerId(0), &probe);
+        fast.resident_estimate(t(1.0), ServerId(0));
         let cached = fast.cached_baseline(ServerId(0)).expect("fresh");
         assert_eq!(cached.to_vec(), fast.trace(ServerId(0)).drain_schedule());
-        assert_eq!(cached.len(), 5, "all five tasks in the spliced baseline");
+        assert_eq!(cached.len(), 5, "all five tasks in the re-drained baseline");
     }
 
     /// Repeated queries against an unchanged server resume the shared
@@ -1395,7 +1353,7 @@ mod tests {
         for id in 0..3 {
             htm.commit(t(0.0), ServerId(0), &task(id, 0.0));
         }
-        // Commits run drains of their own; measure the query phase alone.
+        // Measure the query phase alone.
         let s0 = htm.memo_stats();
         // Distinct costs per probe problem would be needed to dodge the
         // costs-keyed memo; distinct *times* do it too.
@@ -1413,8 +1371,8 @@ mod tests {
             stats.prefix_hits - s0.prefix_hits >= 3,
             "later drains resume the prefix: {stats:?}"
         );
-        // The rate folds in the commit-time drains too (each a miss, the
-        // generation having just changed), so only its liveness is pinned.
+        // The first drain at each generation replays the history, so only
+        // the rate's liveness is pinned.
         assert!(stats.prefix_reuse_rate() > 0.0);
     }
 
@@ -1490,7 +1448,8 @@ mod proptests {
     }
 
     /// Builds a 2-problem × 3-server table from raw draws; every problem is
-    /// forced solvable on server 0 so commits always have a home.
+    /// forced solvable on server 0 so commits always have a home. Problem
+    /// `p` needs `1 + p` MB, so resident estimates are non-trivial.
     fn build_table(costs: &[PhaseCosts], solvable: &[bool]) -> CostTable {
         let mut table = CostTable::new(N_SERVERS);
         for p in 0..N_PROBLEMS {
@@ -1504,7 +1463,7 @@ mod proptests {
                     }
                 })
                 .collect();
-            table.add_problem(Problem::new(format!("p{p}"), 0.1, 0.1, 0.0), row);
+            table.add_problem(Problem::new(format!("p{p}"), 0.1, 0.1, 1.0 + p as f64), row);
         }
         table
     }
@@ -1544,39 +1503,92 @@ mod proptests {
         Ok(())
     }
 
-    /// After every trace mutation under incremental repair, the spliced
-    /// baseline must be bit-for-bit what a full re-drain would compute —
-    /// the acceptance property of the repair engine.
-    fn assert_baselines_match_full_redrain(htm: &Htm) -> Result<(), proptest::TestCaseError> {
-        for s in 0..N_SERVERS as u32 {
-            let server = ServerId(s);
-            let cached = htm.cached_baseline(server);
-            prop_assert!(
-                cached.is_some(),
-                "incremental repair left server {server} with a stale baseline"
-            );
-            let cached = cached.unwrap();
-            let full = htm.trace(server).drain_schedule();
+    /// Asserts a baseline schedule equals a from-scratch re-drain, bit
+    /// for bit (task order and completion bit patterns).
+    fn assert_is_full_redrain(
+        cached: &[(TaskId, SimTime)],
+        full: &[(TaskId, SimTime)],
+        server: ServerId,
+    ) -> Result<(), proptest::TestCaseError> {
+        prop_assert_eq!(
+            cached.len(),
+            full.len(),
+            "baseline length diverged on {}",
+            server
+        );
+        for (a, b) in cached.iter().zip(full) {
+            prop_assert_eq!(a.0, b.0, "task order diverged on {}", server);
             prop_assert_eq!(
-                cached.len(),
-                full.len(),
-                "baseline length diverged on {}",
-                server
+                a.1.as_secs().to_bits(),
+                b.1.as_secs().to_bits(),
+                "completion of {} diverged on {}: {:?} vs {:?}",
+                a.0,
+                server,
+                a.1,
+                b.1
             );
-            for (a, b) in cached.iter().zip(&full) {
-                prop_assert_eq!(a.0, b.0, "task order diverged on {}", server);
-                prop_assert_eq!(
-                    a.1.as_secs().to_bits(),
-                    b.1.as_secs().to_bits(),
-                    "completion of {} diverged on {}: {:?} vs {:?}",
-                    a.0,
-                    server,
-                    a.1,
-                    b.1
-                );
-            }
         }
         Ok(())
+    }
+
+    /// The baseline cache rule, checked after every trace mutation on
+    /// every server: a *fresh* cached baseline is bit-for-bit a
+    /// from-scratch re-drain; after [`Htm::resident_estimate`] the
+    /// baseline is fresh, and the estimate is exactly the memory of the
+    /// re-drain's tasks still running after `now`. The estimate runs on a
+    /// clone, so the caller's stale baselines stay stale for the queries
+    /// that follow.
+    fn assert_baseline_cache_rule(htm: &Htm, now: SimTime) -> Result<(), proptest::TestCaseError> {
+        let mut htm = htm.clone();
+        for s in 0..N_SERVERS as u32 {
+            let server = ServerId(s);
+            let full = htm.trace(server).drain_schedule();
+            if let Some(cached) = htm.cached_baseline(server) {
+                assert_is_full_redrain(cached, &full, server)?;
+            }
+            let estimate = htm.resident_estimate(now, server);
+            let cached = htm.cached_baseline(server);
+            prop_assert!(cached.is_some(), "resident_estimate left {} stale", server);
+            assert_is_full_redrain(cached.unwrap(), &full, server)?;
+            let expected: f64 = full
+                .iter()
+                .filter(|&&(_, completion)| completion > now)
+                .map(|&(task, _)| {
+                    let key = htm.by_task[&task];
+                    let problem = htm.committed.get(key).expect("live record").problem;
+                    htm.costs().problem(problem).mem_mb
+                })
+                .sum();
+            prop_assert_eq!(
+                estimate.to_bits(),
+                expected.to_bits(),
+                "resident estimate on {}: {} vs {}",
+                server,
+                estimate,
+                expected
+            );
+        }
+        Ok(())
+    }
+
+    /// Commit ops vary what the server's memo holds when the commit
+    /// lands: kind 5 first predicts the task itself (the engine's order,
+    /// so the commit may adopt the memo), kind 6 first predicts another
+    /// probe of the same problem at the same instant (the same memo key
+    /// under another id), kind 7 commits cold.
+    fn before_commit(
+        htm: &mut Htm,
+        kind: u32,
+        when: SimTime,
+        server: ServerId,
+        task: &TaskInstance,
+    ) {
+        let probe = match kind {
+            5 => *task,
+            6 => TaskInstance::new(TaskId(u64::MAX - task.id.0), task.problem, when),
+            _ => return,
+        };
+        htm.predict(when, server, &probe);
     }
 
     prop_compose! {
@@ -1725,8 +1737,8 @@ mod proptests {
         /// **bit for bit** with the naive clone-and-drain reference over
         /// arbitrary interleavings of commit / predict / retract / observe
         /// (mirroring the calendar-vs-heap differential proptest), and
-        /// after every mutation the incrementally spliced baseline equals
-        /// a from-scratch re-drain, bit for bit.
+        /// after every mutation the baseline cache rule holds (see
+        /// [`assert_baseline_cache_rule`]).
         #[test]
         fn fast_predict_is_bitwise_equal_to_reference(
             costs in proptest::collection::vec(arb_costs(), 6),
@@ -1781,15 +1793,16 @@ mod proptests {
                         } else {
                             ServerId(0) // always solvable by construction
                         };
+                        before_commit(&mut htm, kind, when, target, &task);
                         htm.commit(when, target, &task);
                         committed.push(task.id);
-                        assert_baselines_match_full_redrain(&htm)?;
+                        assert_baseline_cache_rule(&htm, when)?;
                     }
                     // Retract a previously committed task.
                     8 => {
                         if let Some(id) = committed.pop() {
                             htm.retract(when, id);
-                            assert_baselines_match_full_redrain(&htm)?;
+                            assert_baseline_cache_rule(&htm, when)?;
                         }
                     }
                     // Feed back an observed completion (force-finishes the
@@ -1797,71 +1810,7 @@ mod proptests {
                     _ => {
                         if let Some(&id) = committed.first() {
                             htm.observe_completion(when, id);
-                            assert_baselines_match_full_redrain(&htm)?;
-                        }
-                    }
-                }
-            }
-        }
-
-        /// The two repair policies are observationally equivalent: an HTM
-        /// running incremental splice repair and one running PR-1's
-        /// invalidate-and-re-drain answer every query identically over the
-        /// same interleaving.
-        #[test]
-        fn repair_policies_are_observationally_equal(
-            costs in proptest::collection::vec(arb_costs(), 6),
-            ops in proptest::collection::vec(
-                (0u32..10, 0u32..3, 0u32..2, 0.0f64..20.0),
-                1..40,
-            ),
-        ) {
-            let solvable = vec![true; 6];
-            let table = build_table(&costs, &solvable);
-            let mut inc = Htm::new(table.clone(), SyncPolicy::ForceFinish);
-            let mut full = Htm::new(table, SyncPolicy::ForceFinish);
-            full.set_repair_policy(RepairPolicy::FullRedrain);
-            prop_assert_eq!(inc.repair_policy(), RepairPolicy::Incremental);
-            let mut now = 0.0f64;
-            let mut next_id = 0u64;
-            let mut committed: Vec<TaskId> = Vec::new();
-            for (kind, server, problem, gap) in ops {
-                now += gap;
-                let when = t(now);
-                match kind {
-                    0..=4 => {
-                        let probe = TaskInstance::new(
-                            TaskId(1_000_000 + next_id),
-                            ProblemId(problem),
-                            when,
-                        );
-                        next_id += 1;
-                        for s in 0..N_SERVERS as u32 {
-                            let a = inc.predict(when, ServerId(s), &probe);
-                            let b = full.predict(when, ServerId(s), &probe);
-                            match (&a, &b) {
-                                (None, None) => {}
-                                (Some(f), Some(r)) => assert_bit_identical(f, r)?,
-                                _ => prop_assert!(false, "solvability disagreement on {}", s),
-                            }
-                        }
-                    }
-                    5..=7 => {
-                        let task = TaskInstance::new(TaskId(next_id), ProblemId(problem), when);
-                        next_id += 1;
-                        inc.commit(when, ServerId(server), &task);
-                        full.commit(when, ServerId(server), &task);
-                        committed.push(task.id);
-                    }
-                    8 => {
-                        if let Some(id) = committed.pop() {
-                            prop_assert_eq!(inc.retract(when, id), full.retract(when, id));
-                        }
-                    }
-                    _ => {
-                        if let Some(&id) = committed.first() {
-                            inc.observe_completion(when, id);
-                            full.observe_completion(when, id);
+                            assert_baseline_cache_rule(&htm, when)?;
                         }
                     }
                 }
@@ -1873,8 +1822,8 @@ mod proptests {
         /// drains, memoised truncation bookkeeping) and one pinned to
         /// [`Stage2Mode::Full`] (the pre-optimisation executable spec)
         /// answer every query bit-identically over arbitrary interleavings
-        /// of commit / predict / retract / observe, and the Fast side's
-        /// spliced baselines always equal a from-scratch re-drain.
+        /// of commit / predict / retract / observe, and the Fast side keeps
+        /// the baseline cache rule.
         #[test]
         fn stage2_modes_are_observationally_equal(
             costs in proptest::collection::vec(arb_costs(), 6),
@@ -1916,15 +1865,17 @@ mod proptests {
                     5..=7 => {
                         let task = TaskInstance::new(TaskId(next_id), ProblemId(problem), when);
                         next_id += 1;
+                        before_commit(&mut fast, kind, when, ServerId(server), &task);
+                        before_commit(&mut full, kind, when, ServerId(server), &task);
                         fast.commit(when, ServerId(server), &task);
                         full.commit(when, ServerId(server), &task);
                         committed.push(task.id);
-                        assert_baselines_match_full_redrain(&fast)?;
+                        assert_baseline_cache_rule(&fast, when)?;
                     }
                     8 => {
                         if let Some(id) = committed.pop() {
                             prop_assert_eq!(fast.retract(when, id), full.retract(when, id));
-                            assert_baselines_match_full_redrain(&fast)?;
+                            assert_baseline_cache_rule(&fast, when)?;
                         }
                     }
                     _ => {
@@ -1941,9 +1892,8 @@ mod proptests {
         /// heuristics that never read perturbations) reports the same
         /// completion **bits** as the Full engine over arbitrary
         /// interleavings — truncation may cut only the tail *after* the
-        /// probe's own entry — and the splice-on-commit still leaves
-        /// baselines equal to a full re-drain even when the preceding
-        /// drain was truncated.
+        /// probe's own entry — and the baseline cache rule holds even when
+        /// the drain before a commit was truncated.
         #[test]
         fn completion_only_fast_matches_full_completions(
             costs in proptest::collection::vec(arb_costs(), 6),
@@ -1999,15 +1949,17 @@ mod proptests {
                     5..=7 => {
                         let task = TaskInstance::new(TaskId(next_id), ProblemId(problem), when);
                         next_id += 1;
+                        before_commit(&mut fast, kind, when, ServerId(server), &task);
+                        before_commit(&mut full, kind, when, ServerId(server), &task);
                         fast.commit(when, ServerId(server), &task);
                         full.commit(when, ServerId(server), &task);
                         committed.push(task.id);
-                        assert_baselines_match_full_redrain(&fast)?;
+                        assert_baseline_cache_rule(&fast, when)?;
                     }
                     8 => {
                         if let Some(id) = committed.pop() {
                             prop_assert_eq!(fast.retract(when, id), full.retract(when, id));
-                            assert_baselines_match_full_redrain(&fast)?;
+                            assert_baseline_cache_rule(&fast, when)?;
                         }
                     }
                     _ => {

@@ -52,13 +52,13 @@
 //!    ([`Htm::predict_reference`]), so predictions agree bit for bit.
 //!    When touching the trace event loop or the fair-share arithmetic,
 //!    update both paths together.
-//! 4. **Splice ≡ re-drain.** Under [`htm::RepairPolicy::Incremental`]
-//!    (the default) a commit adopts the committed task's speculative
-//!    after-schedule as the new baseline and a retract adopts the
-//!    without-task drain, instead of invalidating and re-draining. By
-//!    invariant 3 the adopted schedule is bit-identical to what a full
-//!    re-drain of the mutated trace would produce; the proptests assert
-//!    this directly after every mutation.
+//! 4. **A fresh baseline is a re-drain.** A commit, retract or observe
+//!    leaves the server's cached baseline stale, and its next reader
+//!    re-drains it. The one exception is a commit whose memo holds the
+//!    *complete* after-schedule of that very `(task, now)` query: it is
+//!    adopted as the new baseline, which by invariant 3 is bit-identical
+//!    to a re-drain of the mutated trace. The proptests assert after
+//!    every mutation that a fresh baseline equals a full re-drain.
 //! 5. **Fast ≡ Full.** Under [`htm::Stage2Mode::Fast`] (the default) the
 //!    drain engine truncates speculative drains at the probe's completion
 //!    (completion-only heuristics) and resumes a shared baseline-prefix
@@ -83,7 +83,7 @@ pub use heuristics::{
     DecisionMemo, Heuristic, HeuristicKind, Hmct, LoadSource, Loads, Mct, MinLoad, Mni, Mp, Msf,
     Olb, RandomChoice, RoundRobin, SchedView,
 };
-pub use htm::{Htm, MemoStats, RepairPolicy, Stage2Mode, SyncPolicy};
+pub use htm::{Htm, MemoStats, Stage2Mode, SyncPolicy};
 pub use prediction::Prediction;
 pub use selector::{Adaptive, CandidateSelector, Exhaustive, SelectorInput, SelectorKind, TopK};
 pub use trace::{DrainScratch, PrefixCursor, ServerTrace};

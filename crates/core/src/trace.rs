@@ -469,42 +469,6 @@ impl ServerTrace {
         }
     }
 
-    /// Drains the schedule into `out` as if `task` had been force-finished
-    /// at `now` — the retract-side twin of [`Self::drain_schedule_into`],
-    /// and the primitive behind the HTM's incremental baseline repair on
-    /// retract/observe.
-    ///
-    /// Reproduces `{ let mut c = trace.clone(); c.force_finish(now, task);
-    /// c.drain_schedule() }` bit for bit, without cloning or mutating the
-    /// trace: the scratch advances to `now` with the same event arithmetic
-    /// (completions reached on the way are discarded, exactly like the
-    /// clone's `finished` list), removes the task from its lane, and
-    /// drains. Returns whether the task was still active at `now` — the
-    /// same value `force_finish` would return.
-    ///
-    /// # Panics
-    /// Panics if `now` is before the cursor (mirrors `force_finish`).
-    pub fn drain_schedule_without(
-        &self,
-        scratch: &mut DrainScratch,
-        now: SimTime,
-        task: TaskId,
-        out: &mut Vec<(TaskId, SimTime)>,
-    ) -> bool {
-        assert!(now >= self.cursor, "trace cannot rewind");
-        out.clear();
-        scratch.load(self);
-        let mut pre = std::mem::take(&mut scratch.pre_now);
-        pre.clear();
-        scratch.advance_to(now, &self.jobs, None, &mut pre);
-        scratch.pre_now = pre;
-        // Mirrors `FairShareResource::remove` on the task's current lane:
-        // the entry vanishes, later entries keep their relative order.
-        let removed = scratch.remove_entry(task);
-        scratch.drain(&self.jobs, None, out);
-        removed
-    }
-
     /// The fast-mode what-if drain: [`Self::drain_schedule_into`] with a
     /// hypothetical task, accelerated by the baseline-prefix cursor and —
     /// when `truncate` is set — an early exit once the probe's completion
@@ -661,19 +625,6 @@ impl DrainScratch {
     /// Number of tasks still inside any lane.
     fn active(&self) -> usize {
         self.lanes.iter().map(|l| l.entries.len()).sum()
-    }
-
-    /// Removes `task` from whichever lane holds it, preserving the order
-    /// of the remaining entries (mirrors `FairShareResource::remove`).
-    /// Returns whether the task was present.
-    fn remove_entry(&mut self, task: TaskId) -> bool {
-        for lane in &mut self.lanes {
-            if let Some(pos) = lane.entries.iter().position(|e| e.0 == task) {
-                lane.entries.remove(pos);
-                return true;
-            }
-        }
-        false
     }
 
     /// Static phase costs of `task`: the hypothetical task's costs come
@@ -907,12 +858,6 @@ impl PrefixCursor {
         Self::default()
     }
 
-    /// Marks the cursor invalid (e.g. after a retraction repair that
-    /// bypassed the normal save path).
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
     /// Whether the snapshot can seed a replay of `trace` at `now`.
     fn usable_for(&self, trace: &ServerTrace, now: SimTime) -> bool {
         self.valid && self.generation == trace.generation() && now >= self.events_until
@@ -1104,32 +1049,6 @@ mod tests {
     fn completion_of_missing_task() {
         let tr = ServerTrace::new();
         assert_eq!(tr.completion_of(TaskId(9)), None);
-    }
-
-    /// `drain_schedule_without` must agree bit-for-bit with the clone-based
-    /// force-finish path, including its return value.
-    #[test]
-    fn drain_without_matches_clone_force_finish() {
-        let mut tr = ServerTrace::new();
-        tr.add_task(t(0.0), TaskId(1), costs(2.0, 30.0, 1.0));
-        tr.add_task(t(1.0), TaskId(2), costs(0.0, 10.0, 0.0));
-        tr.add_task(t(3.0), TaskId(3), costs(1.0, 5.0, 2.0));
-        let mut scratch = DrainScratch::new();
-        let mut fast = Vec::new();
-        for now in [3.0, 8.0, 20.0, 100.0] {
-            for victim in [TaskId(1), TaskId(2), TaskId(3), TaskId(99)] {
-                let removed = tr.drain_schedule_without(&mut scratch, t(now), victim, &mut fast);
-                let mut clone = tr.clone();
-                let clone_removed = clone.force_finish(t(now), victim);
-                let slow = clone.drain_schedule();
-                assert_eq!(removed, clone_removed, "now={now}, victim={victim}");
-                assert_eq!(fast.len(), slow.len(), "now={now}, victim={victim}");
-                for (a, b) in fast.iter().zip(&slow) {
-                    assert_eq!(a.0, b.0);
-                    assert_eq!(a.1.as_secs().to_bits(), b.1.as_secs().to_bits());
-                }
-            }
-        }
     }
 
     /// Documents a real (and initially surprising) property of the

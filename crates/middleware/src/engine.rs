@@ -2293,7 +2293,8 @@ mod tests {
     /// rebalances it triggers, and the rebuilt blocks keep the configured
     /// engine: under `Full` the fast-path counters must stay zero even
     /// after blocks were rebuilt mid-campaign, while the default fast run
-    /// of the same completion-only campaign truncates drains.
+    /// of the same completion-only campaign drains through the fast
+    /// engine.
     #[test]
     fn stage2_engines_survive_churn_and_rebalance_bitwise() {
         let (costs, servers) = six_setup();
@@ -2306,17 +2307,36 @@ mod tests {
             let world = GridWorld::new(cfg, costs.clone(), servers.clone(), tasks.clone());
             let mut sim = cas_sim::Simulation::new(world);
             sim.run_to_completion();
-            let world = sim.into_world();
+            let end = sim.now();
+            let mut world = sim.into_world();
+            // A rebalance rebuilds blocks with fresh HTMs whose replayed
+            // commits run no drain, and the campaign may end right after
+            // one. Probe every server with both problems after the run,
+            // so the rebuilt blocks show which engine they kept.
+            for s in 0..6 {
+                for p in 0..2 {
+                    let probe = TaskInstance::new(
+                        TaskId(1_000 + 2 * s as u64 + p as u64),
+                        cas_platform::ProblemId(p),
+                        end,
+                    );
+                    world.agent_mut().predict(end, ServerId(s), &probe);
+                }
+            }
             let stats = world.agent().stage2_stats();
             (world.records().to_vec(), stats)
         };
         let (fast, fast_stats) = run(cfg);
         let (full, full_stats) = run(cfg.with_stage2(cas_core::Stage2Mode::Full));
         assert_eq!(fast, full, "stage-2 engines diverged under churn");
-        // A rebalance rebuilds blocks with fresh HTMs (counters restart at
-        // the replay), so only mode retention is asserted here: the full
-        // engine never touches the prefix cursor, rebuilt blocks included.
-        assert!(fast_stats.drains > 0, "{fast_stats:?}");
+        // Counters restart at each rebuild, so only mode retention is
+        // asserted here: the full engine never touches the prefix cursor,
+        // rebuilt blocks included.
+        assert!(
+            fast_stats.prefix_hits > 0,
+            "the fast run must resume the shared prefix: {fast_stats:?}"
+        );
+        assert!(full_stats.drains > 0, "{full_stats:?}");
         assert_eq!(
             full_stats.prefix_hits, 0,
             "a rebuilt block fell back to the fast engine: {full_stats:?}"

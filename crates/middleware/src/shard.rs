@@ -15,9 +15,10 @@
 //! [`AgentRouter`] is the thin layer on top. One decision runs:
 //!
 //! 1. **Stage 1, scatter**: every shard's selector proposes a shortlist
-//!    from its local index (fanned over [`cas_sim::pool`] when it pays;
-//!    results land in per-shard scratch slots, so worker count cannot
-//!    change them).
+//!    from its local index into per-shard scratch slots, serially:
+//!    concurrent walks cannot prune against the merged-so-far cut, and
+//!    a pool fan-out measured ~40× slower than the serial tree walk on a
+//!    2-core host.
 //! 2. **Merge**: shortlists merge by stage-1 score (ties by global
 //!    server id) and truncate to the widest shard's width — under an
 //!    exhaustive selector the union is kept untruncated, preserving the
@@ -105,7 +106,7 @@ impl ShardEngine {
     fn stage1(
         &mut self,
         problem: ProblemId,
-        admit: &(dyn Fn(ServerId) -> bool + Sync),
+        admit: &dyn Fn(ServerId) -> bool,
         score_for_merge: bool,
     ) {
         let ShardEngine {
@@ -313,7 +314,7 @@ pub struct DecisionInputs<'a> {
     pub server_mem: &'a [f64],
     /// Which servers the agent may consider (excludes retry-refused and
     /// known-collapsed servers).
-    pub admit: &'a (dyn Fn(ServerId) -> bool + Sync),
+    pub admit: &'a dyn Fn(ServerId) -> bool,
 }
 
 /// The federated agent: per-shard engines behind the deterministic
@@ -348,10 +349,6 @@ pub struct AgentRouter {
     group_cache: Vec<Option<GroupKey>>,
     /// Problems covered by the cost table (the cache stride).
     n_problems: usize,
-    /// Parallel stage-1 arm: `None` engages it automatically when the
-    /// pool has more than one worker, `Some(b)` forces it on or off
-    /// (differential runs must exercise the arm on any host).
-    parallel_override: Option<bool>,
     /// Cumulative visit/skip counters of the skyline merge.
     stats: SkylineStats,
     /// Forces every decision's stage 2 through the batch `predict_all`
@@ -441,7 +438,6 @@ impl AgentRouter {
             group_size: ShardTree::DEFAULT_GROUP_SHARDS,
             group_cache,
             n_problems,
-            parallel_override: None,
             stats: SkylineStats::default(),
             batch_predict: false,
             memo: DecisionMemo::new(),
@@ -529,16 +525,6 @@ impl AgentRouter {
     pub fn with_group_size(mut self, group_size: usize) -> Self {
         self.group_size = group_size.max(1);
         self.rebuild_tree();
-        self
-    }
-
-    /// Forces the parallel stage-1 arm on or off. By default the arm
-    /// engages automatically when the worker pool has more than one
-    /// worker; the differential runs force it **on** so the arm's
-    /// determinism is proven even on single-core hosts (the pool scope
-    /// then degenerates to the caller draining every job).
-    pub fn with_parallel_stage1(mut self, forced: bool) -> Self {
-        self.parallel_override = Some(forced);
         self
     }
 
@@ -724,19 +710,8 @@ impl AgentRouter {
         self.candidates.clear();
         if self.exhaustive || !self.skyline {
             // Eager scatter: every shard shortlists from its own index.
-            // Each shard writes only its own scratch, so the pool
-            // fan-out cannot reorder anything.
-            let pool = cas_sim::pool::global();
-            if self.shards.len() > 1 && pool.workers() > 1 {
-                pool.scope(|scope| {
-                    for shard in self.shards.iter_mut() {
-                        scope.spawn(move || shard.stage1(problem, admit, true));
-                    }
-                });
-            } else {
-                for shard in self.shards.iter_mut() {
-                    shard.stage1(problem, admit, true);
-                }
+            for shard in self.shards.iter_mut() {
+                shard.stage1(problem, admit, true);
             }
 
             // Merge by stage-1 score (ties by global id), truncated to
@@ -775,16 +750,9 @@ impl AgentRouter {
         } else {
             // Pruning selector with the skyline merge on. With a real
             // tree (more than one group) the walk goes through the
-            // group level — parallel when the pool pays (or a
-            // differential run forces the arm), serial otherwise; a
-            // degenerate tree falls back to the flat per-shard walk.
-            let grouped = self.tree_enabled && !self.tree.is_empty();
-            let parallel = self
-                .parallel_override
-                .unwrap_or_else(|| cas_sim::pool::global().workers() > 1);
-            if grouped && parallel {
-                self.parallel_stage1(problem, admit);
-            } else if grouped {
+            // group level; a degenerate tree falls back to the flat
+            // per-shard walk.
+            if self.tree_enabled && !self.tree.is_empty() {
                 self.tree_stage1(problem, admit);
             } else {
                 self.lazy_stage1(problem, admit);
@@ -854,7 +822,7 @@ impl AgentRouter {
     ///
     /// Leaves `self.merged` holding the final cut, sorted ascending by
     /// `(score bits, global id)`.
-    fn lazy_stage1(&mut self, problem: ProblemId, admit: &(dyn Fn(ServerId) -> bool + Sync)) {
+    fn lazy_stage1(&mut self, problem: ProblemId, admit: &dyn Fn(ServerId) -> bool) {
         self.stats.decisions += 1;
         self.order.clear();
         let mut bound_cap = 0usize; // B: the largest width any shard could emit
@@ -919,7 +887,7 @@ impl AgentRouter {
     /// prove it against both the flat walk and the eager scatter).
     /// Inside a visited group, members run the flat per-shard condition
     /// unchanged.
-    fn tree_stage1(&mut self, problem: ProblemId, admit: &(dyn Fn(ServerId) -> bool + Sync)) {
+    fn tree_stage1(&mut self, problem: ProblemId, admit: &dyn Fn(ServerId) -> bool) {
         self.stats.decisions += 1;
         self.order.clear();
         let mut bound_cap = 0usize; // B: the largest width any group could emit
@@ -974,86 +942,6 @@ impl AgentRouter {
         }
         self.order = order;
         if self.merged.len() > widest {
-            self.merged.truncate(widest);
-        }
-    }
-
-    /// The parallel stage-1 arm: group-level pruning from the cache
-    /// (groups with no skyline skip exactly as in the serial walks),
-    /// then an **eager** scatter of every surviving group over
-    /// [`cas_sim::pool`] — cut-line pruning needs the merged-so-far
-    /// state and is pointless once the walks run concurrently. Each job
-    /// owns a disjoint `&mut` block of member shards plus its own count
-    /// slot, so worker count cannot reorder anything; the reduction
-    /// concatenates per-shard scratch in shard order and keeps the
-    /// `W`-best by partial select — the kept *set* equals
-    /// sort-then-truncate (keys are unique pairs), which is exactly the
-    /// eager merge, which the serial walks are proven identical to.
-    /// Shards with no skyline clear their scratch and skip: their
-    /// shortlist is empty under any admit filter.
-    fn parallel_stage1(&mut self, problem: ProblemId, admit: &(dyn Fn(ServerId) -> bool + Sync)) {
-        self.stats.decisions += 1;
-        // Group-level prune, serial: one cached key per group.
-        let mut visited: Vec<usize> = Vec::with_capacity(self.tree.n_groups());
-        for g in 0..self.tree.n_groups() {
-            if self.group_key(g, problem).skyline.is_some() {
-                visited.push(g);
-            } else {
-                self.stats.group_skips += 1;
-            }
-        }
-        self.stats.group_visits += visited.len() as u64;
-        // Scatter: one job per visited group, member blocks split into
-        // disjoint `&mut` slices (groups are contiguous, ascending).
-        let mut counts: Vec<(u64, u64)> = vec![(0, 0); visited.len()];
-        {
-            let mut jobs: Vec<(&mut [ShardEngine], &mut (u64, u64))> =
-                Vec::with_capacity(visited.len());
-            let mut shards_rest: &mut [ShardEngine] = &mut self.shards;
-            let mut shards_off = 0usize;
-            let mut counts_rest: &mut [(u64, u64)] = &mut counts;
-            for &g in &visited {
-                let members = self.tree.members(g);
-                let (_, tail) = shards_rest.split_at_mut(members.start - shards_off);
-                let (block, tail) = tail.split_at_mut(members.len());
-                shards_rest = tail;
-                shards_off = members.end;
-                let (slot, tail) = counts_rest.split_first_mut().expect("one slot per job");
-                counts_rest = tail;
-                jobs.push((block, slot));
-            }
-            let pool = cas_sim::pool::global();
-            pool.scope(|scope| {
-                for (block, slot) in jobs {
-                    scope.spawn(move || {
-                        for shard in block.iter_mut() {
-                            if shard.skyline(problem).is_some() {
-                                shard.stage1(problem, admit, true);
-                                slot.0 += 1;
-                            } else {
-                                shard.scored.clear();
-                                slot.1 += 1;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Reduce in slot (= group, = shard) order.
-        for &(v, s) in &counts {
-            self.stats.shard_visits += v;
-            self.stats.shard_skips += s;
-        }
-        let mut widest = 0usize;
-        for &g in &visited {
-            for k in self.tree.members(g) {
-                let scored = &self.shards[k].scored;
-                widest = widest.max(scored.len());
-                self.merged.extend_from_slice(scored);
-            }
-        }
-        if self.merged.len() > widest && widest > 0 {
-            self.merged.select_nth_unstable(widest - 1);
             self.merged.truncate(widest);
         }
     }
@@ -1683,8 +1571,8 @@ mod skyline_edge {
     /// (groups ≡ shards) on the edge table's P1 — solvable only inside
     /// shard 0 — groups 1 and 2 skip every decision at the group level,
     /// and shard 0, alone inside its visited group, is walked with no
-    /// shard-level skip at all. Both the serial group walk and the
-    /// forced parallel arm agree with the eager merge.
+    /// shard-level skip at all. The group walk agrees with the eager
+    /// merge.
     #[test]
     fn zero_solvable_group_is_pruned_without_touching_members() {
         let table = edge_table();
@@ -1697,23 +1585,21 @@ mod skyline_edge {
                 excl: 99,
             })
             .collect();
-        for parallel in [false, true] {
-            let harness = DiffHarness::new(table.clone());
-            let (mut eager, lazy) = routers(&table, SelectorKind::TopK { k: 2 });
-            let mut tree = lazy.with_group_size(1).with_parallel_stage1(parallel);
-            assert_eq!(tree.tree().n_groups(), 3);
-            harness.run(&mut eager, &mut tree, &p1_ops).unwrap();
-            let stats = tree.skyline_stats();
-            assert_eq!(stats.decisions, 4);
-            assert_eq!(stats.group_visits, 4, "only shard 0's group is walked");
-            assert_eq!(stats.group_skips, 8, "groups 1 and 2 prune wholesale");
-            assert_eq!(stats.shard_visits, 4);
-            assert_eq!(
-                stats.shard_skips, 0,
-                "members of skipped groups never reach the shard counters"
-            );
-            assert_eq!(stats.group_skip_rate(), 8.0 / 12.0);
-        }
+        let harness = DiffHarness::new(table.clone());
+        let (mut eager, lazy) = routers(&table, SelectorKind::TopK { k: 2 });
+        let mut tree = lazy.with_group_size(1);
+        assert_eq!(tree.tree().n_groups(), 3);
+        harness.run(&mut eager, &mut tree, &p1_ops).unwrap();
+        let stats = tree.skyline_stats();
+        assert_eq!(stats.decisions, 4);
+        assert_eq!(stats.group_visits, 4, "only shard 0's group is walked");
+        assert_eq!(stats.group_skips, 8, "groups 1 and 2 prune wholesale");
+        assert_eq!(stats.shard_visits, 4);
+        assert_eq!(
+            stats.shard_skips, 0,
+            "members of skipped groups never reach the shard counters"
+        );
+        assert_eq!(stats.group_skip_rate(), 8.0 / 12.0);
     }
 
     /// Provisioning through the router (`push_server` into the last
@@ -1976,8 +1862,7 @@ mod proptests {
         Ok(())
     }
 
-    /// Drives the group-walking router (and, when `parallel`, the
-    /// forced parallel stage-1 arm) against the flat per-shard walk
+    /// Drives the group-walking router against the flat per-shard walk
     /// (`with_tree(false)` — the executable spec): the group level must
     /// be a pure pruning of the *walk*, never of the result. Also pins
     /// the per-level counter invariants of [`SkylineStats`].
@@ -1991,17 +1876,14 @@ mod proptests {
         selector: SelectorKind,
         sync: SyncPolicy,
         ops: Vec<(u32, u32, u32, f64, u32)>,
-        parallel: bool,
     ) -> Result<(), TestCaseError> {
         let table = build_table(n_servers, &costs, &solvable);
         let harness = DiffHarness::new(table.clone());
         let scoring = IndexScoring::default();
-        let mut flat = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync)
-            .with_tree(false)
-            .with_parallel_stage1(false);
+        let mut flat =
+            AgentRouter::new(&table, Some(n_shards), selector, scoring, sync).with_tree(false);
         let mut tree = AgentRouter::new(&table, Some(n_shards), selector, scoring, sync)
-            .with_group_size(group_size)
-            .with_parallel_stage1(parallel);
+            .with_group_size(group_size);
         let n_shards = flat.n_shards() as u64; // post-clamp
         let n_groups = tree.tree().n_groups() as u64;
         let grouped = !tree.tree().is_empty();
@@ -2312,33 +2194,7 @@ mod proptests {
             let sync = if force_finish { SyncPolicy::ForceFinish } else { SyncPolicy::None };
             run_tree_differential(
                 N_SERVERS_HUGE, costs, solvable, n_shards, group_size,
-                selector_of(selector_pick), sync, ops, false,
-            )?;
-        }
-
-        /// The parallel stage-1 arm, forced on (so the proof holds on
-        /// single-core hosts too): the eager per-group scatter with
-        /// slot-indexed reduction is **bit-identical** to the flat
-        /// serial walk for every selector backend, shard count and
-        /// fan-out.
-        #[test]
-        fn parallel_stage1_is_bitwise_the_serial_walk(
-            costs in proptest::collection::vec(arb_costs(), N_SERVERS_HUGE * N_PROBLEMS),
-            solvable in proptest::collection::vec(
-                proptest::bool::ANY, N_SERVERS_HUGE * N_PROBLEMS,
-            ),
-            shard_pick in 0usize..4,
-            group_pick in 0usize..4,
-            selector_pick in 0usize..4,
-            force_finish in proptest::bool::ANY,
-            ops in arb_churn_ops(N_SERVERS_HUGE),
-        ) {
-            let n_shards = [1usize, 2, 16, 64][shard_pick];
-            let group_size = [1usize, 2, 4, 16][group_pick];
-            let sync = if force_finish { SyncPolicy::ForceFinish } else { SyncPolicy::None };
-            run_tree_differential(
-                N_SERVERS_HUGE, costs, solvable, n_shards, group_size,
-                selector_of(selector_pick), sync, ops, true,
+                selector_of(selector_pick), sync, ops,
             )?;
         }
 

@@ -21,6 +21,7 @@ use casgrid::metrics::prof;
 use casgrid::platform::RankingsBackend;
 use casgrid::prelude::*;
 use casgrid::workload::synthetic::BurstArrivals;
+use casgrid::workload::MAX_ARRIVAL_S;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -219,10 +220,10 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
             }
             "--burst" => {
                 let v = take(&mut i)?;
-                args.burst = num_flag("--burst", &v, "a peak/trough RATIO >= 1 (e.g. 8)")?;
-                if args.burst < 1.0 {
+                args.burst = num_flag("--burst", &v, "a finite peak/trough RATIO >= 1 (e.g. 8)")?;
+                if !(args.burst >= 1.0 && args.burst.is_finite()) {
                     return Err(format!(
-                        "--burst: expected a peak/trough RATIO >= 1 (e.g. 8), got {v:?}"
+                        "--burst: expected a finite peak/trough RATIO >= 1 (e.g. 8), got {v:?}"
                     ));
                 }
             }
@@ -231,11 +232,11 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
                 args.burst_period = num_flag(
                     "--burst-period",
                     &v,
-                    "a positive number of seconds (e.g. 1800)",
+                    "a positive, finite number of seconds (e.g. 1800)",
                 )?;
-                if args.burst_period <= 0.0 {
+                if !(args.burst_period > 0.0 && args.burst_period.is_finite()) {
                     return Err(format!(
-                        "--burst-period: expected a positive number of seconds, got {v:?}"
+                        "--burst-period: expected a positive, finite number of seconds, got {v:?}"
                     ));
                 }
             }
@@ -364,6 +365,16 @@ fn parse(argv: &[String]) -> Result<(String, Args), String> {
             other => return Err(format!("unknown flag {other}\n\n{}", usage())),
         }
         i += 1;
+    }
+    // Wall time grows with the simulated horizon, so cap it where the
+    // trace ingest caps arrivals.
+    let horizon = args.tasks as f64 * args.gap;
+    if horizon > MAX_ARRIVAL_S {
+        return Err(format!(
+            "--gap: expected tasks × gap <= {MAX_ARRIVAL_S} s (the arrival horizon cap), \
+             got {} × {} = {horizon} s",
+            args.tasks, args.gap
+        ));
     }
     Ok((cmd, args))
 }
@@ -1010,7 +1021,13 @@ mod tests {
             ("run --noise nan", "--noise"),
             ("run --noise inf", "--noise"),
             ("run --burst 0.2", "--burst"),
+            ("run --burst inf", "--burst"),
+            ("run --burst nan", "--burst"),
             ("run --burst-period -5", "--burst-period"),
+            ("run --burst 2 --burst-period nan", "--burst-period"),
+            ("run --burst 2 --burst-period inf", "--burst-period"),
+            ("run --tasks 20 --gap 1e9", "--gap"),
+            ("run --gap 1e8 --tasks 11", "--gap"),
             ("run --shards none", "--shards"),
             ("run --shards auto:", "--shards"),
             ("run --selector best", "--selector"),
